@@ -114,8 +114,10 @@ def compute_moments(tree: ScenarioTree, book: ContractBook) -> MomentTables:
         mean.append(m)
         second.append(ma)
         cov.append(ma - np.outer(m, m))
+        # the finer levels are only steps of the sweep; drop them at once
+        levels = tree.conditional_levels(u, tree.horizon, 0)[: kmax + 1]
         for n in range(kmax + 1):
-            ubar = tree.conditional_expectation(book.final_utility(k), n).values
+            ubar = levels[n]
             pn = tree.path_prob[n]
             na = ubar.T @ (ubar * pn[:, None])
             cond_second[n][k] = na
@@ -209,18 +211,20 @@ def check_h3(tree: ScenarioTree, book: ContractBook, tol: float = MOMENT_TOL):
     """
     worst, where = 0.0, ""
     kmax = tree.last_issue
+    settled = [book.final_utility(k).values for k in range(kmax + 1)]
+    cond = [tree.conditional_levels(u, tree.horizon, 0)[: kmax + 1] for u in settled]
     for k in range(kmax + 1):
-        uk = book.final_utility(k).values
-        for l in range(kmax + 1):
-            if l == k:
-                continue
-            ul = book.final_utility(l).values
+        uk = settled[k]
+        # the (l, k) products are the (k, l) ones transposed, with the same
+        # deviations, so the first visit of each pair decides
+        for l in range(k + 1, kmax + 1):
+            ul = settled[l]
             prods = uk[:, :, None] * ul[:, None, :]
-            flat = tree.adapted(tree.horizon, prods.reshape(prods.shape[0], -1))
+            flat = prods.reshape(prods.shape[0], -1)
+            joints = tree.conditional_levels(flat, tree.horizon, 0)[: kmax + 1]
             for n in range(kmax + 1):
-                joint = tree.conditional_expectation(flat, n).values
-                ck = tree.conditional_expectation(book.final_utility(k), n).values
-                cl = tree.conditional_expectation(book.final_utility(l), n).values
+                joint = joints[n]
+                ck, cl = cond[k][n], cond[l][n]
                 split = (ck[:, :, None] * cl[:, None, :]).reshape(joint.shape)
                 dev = float(np.abs(joint - split).max())
                 if dev > worst:

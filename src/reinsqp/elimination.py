@@ -7,8 +7,9 @@ the same shape one stage shorter, with the diagonal blocks corrected by a
 scalar-weighted conditional moment matrix and all off-diagonal blocks
 rescaled by one common factor.  Running this to the bottom yields a lower
 triangular system whose diagonal blocks invert stage by stage, so a full
-solve costs one short recursion on small moment matrices plus one block
-application per ordered stage pair.
+solve costs one short recursion on small moment matrices plus, per stage,
+one leaf scalar and one sweep of the tree that conditions all of that
+stage's off-diagonal block images together.
 
 The same recursion parameterizes the candidate spectra: a number belongs to
 the operator's spectrum exactly when one of the level matrices, with the
@@ -17,13 +18,13 @@ recursion's scalars evaluated at that number, has it as an eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contracts import ContractBook, MomentTables
 from .errors import InputError, SingularPivot
-from .operators import Kind, apply, block_apply
+from .operators import Kind, apply, images, leaf_scalar
 from .tree import AdaptedVariable, PortfolioProcess, ScenarioTree, norm
 
 #: condition number ceiling for pivot matrices
@@ -51,12 +52,26 @@ class EliminationCoefficients:
     mean_weight: np.ndarray
     pivots: list[list[np.ndarray]]
     means: list[np.ndarray]
+    #: (level, stage, centered) -> diagonal matrix that passed its
+    #: condition check
+    _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pivot_cov(self, n: int, k: int) -> np.ndarray:
         """Centered-form diagonal: the raw pivot minus the remaining
         rank-one mean contribution."""
         m = self.means[k]
         return self.pivots[n][k] - (1.0 - self.mean_weight[n]) * np.outer(m, m)
+
+    def checked_pivot(self, n: int, k: int, centered: bool = False) -> np.ndarray:
+        """The level-n stage-k diagonal (raw, or centered), condition-checked
+        on first use; a singular one raises at every use."""
+        key = (n, k, centered)
+        matrix = self._checked.get(key)
+        if matrix is None:
+            matrix = self.pivot_cov(n, k) if centered else self.pivots[n][k]
+            _checked_cond(matrix, n)
+            self._checked[key] = matrix
+        return matrix
 
 
 def _checked_cond(matrix: np.ndarray, level: int) -> float:
@@ -98,9 +113,12 @@ def elimination_coefficients(
     _checked_cond(pivots[0][0], 0)
     m = moments.mean[0]
     mean_quad[0] = float(m @ np.linalg.solve(pivots[0][0], m))
-    return EliminationCoefficients(
+    coeffs = EliminationCoefficients(
         shift, mean_quad, block_scale, mean_weight, pivots, list(moments.mean)
     )
+    # every raw level pivot passed its check above
+    coeffs._checked.update({(n, n, False): pivots[n][n] for n in range(kmax + 1)})
+    return coeffs
 
 
 def diag_block_inverse(
@@ -119,13 +137,10 @@ def diag_block_inverse(
     """
     if x.depth != k:
         raise InputError(f"stage-{k} input has depth {x.depth}")
-    da = coeffs.pivots[n][k]
+    da = coeffs.checked_pivot(n, k)
     if kind is Kind.SECOND_MOMENT:
-        _checked_cond(da, n)
         return AdaptedVariable(k, np.linalg.solve(da, x.values.T).T)
-    db = coeffs.pivot_cov(n, k)
-    _checked_cond(da, n)
-    _checked_cond(db, n)
+    db = coeffs.checked_pivot(n, k, centered=True)
     xbar = tree.path_prob[k] @ x.values
     centered = x.values - xbar[None, :]
     out = np.linalg.solve(da, centered.T).T + np.linalg.solve(db, xbar)[None, :]
@@ -146,9 +161,10 @@ def forward_eliminate(
     for n in range(tree.last_issue, 0, -1):
         y = diag_block_inverse(kind, coeffs, tree, n, n, xi.stage(n))
         f = coeffs.block_scale[n]
-        for k in range(n):
-            update = block_apply(kind, tree, book, k, n, y)
-            xi.stage(k).values[...] -= f * update.values
+        scalar = leaf_scalar(kind, tree, book, n, y)
+        updates = images(tree, book, [(k, scalar) for k in range(n)])
+        for k, update in enumerate(updates):
+            xi.stage(k).values[...] -= f * update
     return xi
 
 
@@ -163,14 +179,17 @@ def back_substitute(
     off-diagonal blocks scaled by its own level factor, and its final
     diagonal is the level-k pivot."""
     plan = PortfolioProcess.zeros(tree)
+    scalars = []
     for k in range(tree.last_issue + 1):
         acc = xi.stage(k).values.copy()
         f = coeffs.block_scale[k]
-        for l in range(k):
-            acc -= f * block_apply(kind, tree, book, k, l, plan.stage(l)).values
+        for image in images(tree, book, [(k, s) for s in scalars]):
+            acc -= f * image
         plan.stages[k] = diag_block_inverse(
             kind, coeffs, tree, k, k, AdaptedVariable(k, acc)
         )
+        if k < tree.last_issue:
+            scalars.append(leaf_scalar(kind, tree, book, k, plan.stage(k)))
     return plan
 
 

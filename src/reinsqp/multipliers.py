@@ -38,7 +38,7 @@ from .errors import (
     NumericalFailure,
     SingularPivot,
 )
-from .operators import Kind, Representers, apply, block_apply, representers
+from .operators import Kind, Representers, apply, images, leaf_scalar, representers
 from .portfolio import ConstraintConfig, evaluate_constraints, mean_final, variance_final
 from .qp import nonneg_qp, solve_qp
 from .tree import AdaptedVariable, PortfolioProcess, ScenarioTree, inner_product, norm
@@ -316,6 +316,31 @@ def theta(
     """
     if sign not in (+1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign}")
+    scalars = [
+        leaf_scalar(kind, tree, book, l, plan.stage(l)) if l != k else None
+        for l in range(tree.last_issue + 1)
+    ]
+    positions, bounds = _project_stage(
+        tree, book, moments, reps, k, roe_weights, mean_weight, plan, kind, scalars
+    )
+    return positions if sign > 0 else bounds
+
+
+def _project_stage(
+    tree: ScenarioTree,
+    book: ContractBook,
+    moments: MomentTables,
+    reps: Representers,
+    k: int,
+    roe_weights: np.ndarray,
+    mean_weight: float,
+    plan: PortfolioProcess,
+    kind: Kind,
+    scalars: list[np.ndarray | None],
+) -> tuple[AdaptedVariable, AdaptedVariable]:
+    """Both parts of the stage-k projection, from one argument and one
+    nodewise solve; ``scalars[l]`` is the leaf scalar of the plan's stage l
+    (unused at l = k), whose images couple stage l into stage k."""
     arg = mean_weight * reps.mean.stage(k).values.copy()
     for t, w in enumerate(roe_weights):
         if w != 0.0:
@@ -325,15 +350,14 @@ def theta(
         rank_one = ma - moments.covariance[k]
         stage_mean = tree.path_prob[k] @ plan.stage(k).values
         arg = arg + (rank_one @ stage_mean)[None, :]
-    for l in range(tree.last_issue + 1):
-        if l == k:
-            continue
-        arg = arg - block_apply(kind, tree, book, k, l, plan.stage(l)).values
-    out = np.empty_like(arg)
+    couplings = [(k, s) for l, s in enumerate(scalars) if l != k]
+    for image in images(tree, book, couplings):
+        arg = arg - image
+    primal, dual = np.empty_like(arg), np.empty_like(arg)
     for v in range(arg.shape[0]):
         result = nonneg_qp(ma, arg[v])
-        out[v] = result.primal if sign > 0 else result.dual
-    return AdaptedVariable(k, out)
+        primal[v], dual[v] = result.primal, result.dual
+    return AdaptedVariable(k, primal), AdaptedVariable(k, dual)
 
 
 def _projection_cycle(
@@ -354,14 +378,17 @@ def _projection_cycle(
     roe_w, mean_w = weights[:-1], float(weights[-1])
     rhs = gram.reps.combine(roe_w, mean_w) + nu
     relaxed = gram.solver.solve(rhs)
+    scalars = [
+        leaf_scalar(kind, tree, book, l, relaxed.stage(l))
+        for l in range(tree.last_issue + 1)
+    ]
     plan_stages, nu_stages = [], []
     for k in range(tree.last_issue + 1):
-        plan_stages.append(
-            theta(tree, book, moments, gram.reps, k, +1, roe_w, mean_w, relaxed, kind)
+        positions, bounds = _project_stage(
+            tree, book, moments, gram.reps, k, roe_w, mean_w, relaxed, kind, scalars
         )
-        nu_stages.append(
-            theta(tree, book, moments, gram.reps, k, -1, roe_w, mean_w, relaxed, kind)
-        )
+        plan_stages.append(positions)
+        nu_stages.append(bounds)
     plan = PortfolioProcess(tree, plan_stages)
     nu_new = PortfolioProcess(tree, nu_stages)
     return MultiplierSet(roe_w, mean_w, nu_new), plan, relaxed
@@ -626,7 +653,8 @@ def iterate_max_mean(
     the approximate plans.  Their variances need not be exactly monotone
     in the floor, so the returned floor is only as good as the recorded
     optimality reports; the trace keeps every (floor, variance) pair
-    evaluated.
+    evaluated.  A cap below the floor-0 variance is infeasible only when
+    that ladder converged; otherwise the search raises a numerical failure.
     """
     cap = config.variance_cap
     if cap is None:
@@ -644,6 +672,13 @@ def iterate_max_mean(
     lo = 0.0
     res_lo, var_lo = solve_at(lo)
     if var_lo > cap * (1 + bisect_tol):
+        # only a converged plan shows what variance is attainable
+        if not res_lo.converged:
+            raise NumericalFailure(
+                f"ladder at mean floor {lo:g} did not converge (KKT total "
+                f"{res_lo.report.total:.6g} after {res_lo.iterations} cycles), "
+                f"so its variance {var_lo:.6g} does not bound the cap {cap:.6g}"
+            )
         raise Infeasible(
             f"minimal attainable variance {var_lo:.6g} exceeds cap {cap:.6g}"
         )

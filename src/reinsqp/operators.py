@@ -45,6 +45,32 @@ class Kind(str, Enum):
     VARIANCE = "variance"
 
 
+def leaf_scalar(
+    kind: Kind, tree: ScenarioTree, book: ContractBook, l: int, x: AdaptedVariable
+) -> np.ndarray:
+    """The settled result ``u_l . x`` of stage-l positions ``x`` at every
+    leaf, centered for the variance form."""
+    if x.depth != l:
+        raise InputError(f"stage-{l} block input has depth {x.depth}")
+    ul = book.final_utility(l).values
+    return _centered(kind, tree, np.sum(ul * tree.lift(x, tree.horizon).values, axis=1))
+
+
+def _centered(kind: Kind, tree: ScenarioTree, scalar: np.ndarray) -> np.ndarray:
+    if kind is Kind.VARIANCE:
+        return scalar - float(tree.path_prob[tree.horizon] @ scalar)
+    return scalar
+
+
+def images(
+    tree: ScenarioTree, book: ContractBook, pairs: list[tuple[int, np.ndarray]]
+) -> list[np.ndarray]:
+    """``E[u_k s | F_k]`` for every (k, leaf scalar s) pair, all conditioned
+    in one sweep of the tree."""
+    blocks = [book.final_utility(k).values * s[:, None] for k, s in pairs]
+    return tree.condition_stack(tree.horizon, blocks, [k for k, _ in pairs])
+
+
 def apply(
     kind: Kind, tree: ScenarioTree, book: ContractBook, plan: PortfolioProcess
 ) -> PortfolioProcess:
@@ -54,16 +80,9 @@ def apply(
     plan's final utility (centered for the variance form) times the
     generation-k settled results.
     """
-    final = final_utility_rv(tree, book, plan)
-    weight = final.values
-    if kind is Kind.VARIANCE:
-        weight = weight - tree.expectation(final)
-    stages = []
-    for k in range(tree.last_issue + 1):
-        u = book.final_utility(k).values
-        prod = tree.adapted(tree.horizon, u * weight[:, None])
-        stages.append(tree.conditional_expectation(prod, k))
-    return PortfolioProcess(tree, stages)
+    weight = _centered(kind, tree, final_utility_rv(tree, book, plan).values)
+    stages = images(tree, book, [(k, weight) for k in range(tree.last_issue + 1)])
+    return PortfolioProcess(tree, [AdaptedVariable(k, v) for k, v in enumerate(stages)])
 
 
 def block_apply(
@@ -76,15 +95,8 @@ def block_apply(
 ) -> AdaptedVariable:
     """Apply the (k, l) block: the contribution of stage-l positions ``x``
     to the operator image at stage k."""
-    if x.depth != l:
-        raise InputError(f"stage-{l} block input has depth {x.depth}")
-    ul = book.final_utility(l).values
-    scalar = np.sum(ul * tree.lift(x, tree.horizon).values, axis=1)
-    if kind is Kind.VARIANCE:
-        scalar = scalar - float(tree.path_prob[tree.horizon] @ scalar)
-    uk = book.final_utility(k).values
-    prod = tree.adapted(tree.horizon, uk * scalar[:, None])
-    return tree.conditional_expectation(prod, k)
+    scalar = leaf_scalar(kind, tree, book, l, x)
+    return AdaptedVariable(k, images(tree, book, [(k, scalar)])[0])
 
 
 @dataclass

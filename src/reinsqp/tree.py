@@ -7,16 +7,21 @@ are the elementary scenarios.  Everything the optimizer touches (utilities,
 portfolios, operator images, representers) is an adapted quantity: one value,
 scalar or vector, per node of some depth.
 
-The class below precomputes per-depth index arrays so that the three
-workhorses (expectation, one-level conditional expectation, lifting a value
-to descendants) are plain vectorized numpy operations.
+The class below caches, on first use, one sparse averaging matrix per level
+(rows are parents, columns their children, entries the conditional
+probabilities) and one ancestor index per pair of depths.  Conditioning is
+then one sparse product per level, and lifting one gather.  Blocks that are
+conditioned onto different depths travel up the levels side by side, so a
+whole stack of them costs one sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DimensionMismatch, InputError
 
@@ -177,6 +182,7 @@ class ScenarioTree:
             row_of.update({n.id: i for i, n in enumerate(level)})
         self._row_of = row_of
         self._depth_of = {n.id: n.depth for n in nodes}
+        self._ancestors: dict[tuple[int, int], np.ndarray] = {}
 
     @classmethod
     def build(
@@ -255,25 +261,90 @@ class ScenarioTree:
             return p @ x.values
         return float(p @ x.values)
 
-    def conditional_expectation(self, x: AdaptedVariable, depth: int) -> AdaptedVariable:
-        """Project ``x`` onto the coarser information at ``depth`` <= x.depth.
+    @cached_property
+    def _averaging(self) -> list[sparse.csr_array | None]:
+        """Per depth d >= 1, the (parents x children) matrix of conditional
+        probabilities that averages depth-d values onto depth d - 1.
 
-        Computed by repeated one-level averaging: the value at a node is the
+        Each row lists its children in canonical order, so every parent sums
+        its weighted children in the same order as a sequential scatter-add.
+        """
+        up: list[sparse.csr_array | None] = [None]
+        for d in range(1, self.horizon + 1):
+            rows = self.parent_row[d]
+            children = np.argsort(rows, kind="stable")
+            counts = np.bincount(rows, minlength=self.n_nodes(d - 1))
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            up.append(
+                sparse.csr_array(
+                    (self.cond_prob[d][children], children, indptr),
+                    shape=(self.n_nodes(d - 1), self.n_nodes(d)),
+                )
+            )
+        return up
+
+    def conditional_levels(
+        self, values: np.ndarray, depth: int, lowest: int
+    ) -> list[np.ndarray]:
+        """Depth-``depth`` values conditioned on every depth from ``lowest``
+        up to ``depth``, in one sweep: entry i is at depth ``lowest + i``.
+
+        Each level is one sparse product: the value at a node is the
         conditional-probability weighted sum over its children.
         """
+        if not 0 <= lowest <= depth:
+            raise DimensionMismatch(
+                f"cannot condition depth-{depth} values on depth {lowest}"
+            )
+        levels = [values]
+        up = self._averaging
+        for d in range(depth, lowest, -1):
+            levels.append(up[d] @ levels[-1])
+        return levels[::-1]
+
+    def conditional_expectation(self, x: AdaptedVariable, depth: int) -> AdaptedVariable:
+        """Project ``x`` onto the coarser information at ``depth`` <= x.depth."""
         if depth > x.depth:
             raise DimensionMismatch(
                 f"cannot condition depth-{x.depth} variable on finer depth {depth}"
             )
-        values = x.values
-        for d in range(x.depth, depth, -1):
-            shape = (self.n_nodes(d - 1),) + values.shape[1:]
-            out = np.zeros(shape)
-            w = self.cond_prob[d]
-            weighted = values * (w[:, None] if values.ndim == 2 else w)
-            np.add.at(out, self.parent_row[d], weighted)
-            values = out
-        return AdaptedVariable(depth, values)
+        return AdaptedVariable(depth, self.conditional_levels(x.values, x.depth, depth)[0])
+
+    def condition_stack(
+        self, depth: int, blocks: list[np.ndarray], targets: list[int]
+    ) -> list[np.ndarray]:
+        """Condition depth-``depth`` blocks, block i onto depth ``targets[i]``.
+
+        The blocks are set side by side and swept up the levels once; each
+        is read off at its own target.  Every column is averaged exactly as
+        :meth:`conditional_expectation` would average it alone.
+        """
+        if not blocks:
+            return []
+        if max(targets) > depth:
+            raise DimensionMismatch(
+                f"cannot condition depth-{depth} blocks on finer depth {max(targets)}"
+            )
+        n = self.n_nodes(depth)
+        cols = [np.reshape(b, (n, -1)) for b in blocks]
+        lowest = min(targets)
+        levels = self.conditional_levels(np.hstack(cols, dtype=float), depth, lowest)
+        out, end = [], 0
+        for block, target, col in zip(blocks, targets, cols):
+            start, end = end, end + col.shape[1]
+            part = levels[target - lowest][:, start:end].copy()
+            out.append(part.reshape(part.shape[:1] + np.shape(block)[1:]))
+        return out
+
+    def _ancestor_rows(self, depth: int, finer: int) -> np.ndarray:
+        """Row of each depth-``finer`` node's ancestor at ``depth``."""
+        rows = self._ancestors.get((depth, finer))
+        if rows is None:
+            rows = self.parent_row[finer]
+            for d in range(finer - 1, depth, -1):
+                rows = self.parent_row[d][rows]
+            self._ancestors[(depth, finer)] = rows
+        return rows
 
     def lift(self, x: AdaptedVariable, depth: int) -> AdaptedVariable:
         """Extend ``x`` to ``depth`` >= x.depth by copying along descendants."""
@@ -281,10 +352,10 @@ class ScenarioTree:
             raise DimensionMismatch(
                 f"cannot lift depth-{x.depth} variable down to depth {depth}"
             )
-        values = x.values
-        for d in range(x.depth + 1, depth + 1):
-            values = values[self.parent_row[d]]
-        return AdaptedVariable(depth, values)
+        if depth == x.depth:
+            return AdaptedVariable(depth, x.values)
+        rows = self._ancestor_rows(x.depth, depth)
+        return AdaptedVariable(depth, np.take(x.values, rows, axis=0))
 
 
 class PortfolioProcess:

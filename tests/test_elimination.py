@@ -16,10 +16,10 @@ from reinsqp.elimination import (
 from reinsqp.errors import SingularPivot
 from reinsqp.operators import Kind, dense_matrix
 from reinsqp.oracle import from_coords, to_coords
-from reinsqp.tree import norm
+from reinsqp.tree import AdaptedVariable, PortfolioProcess, norm
 
 from conftest import random_instance
-from test_operators import random_plan
+from test_operators import pair_block, random_plan
 
 
 @pytest.fixture
@@ -134,6 +134,42 @@ class TestStructuredSolve:
                 plan.stage(k).values, direct.plan.stage(k).values, atol=1e-10
             )
 
+    @pytest.mark.parametrize("kind", [Kind.SECOND_MOMENT, Kind.VARIANCE])
+    def test_sweeps_equal_pairwise_blocks_bitwise(self, kind):
+        """Forward elimination and back substitution, stage sweeps and all,
+        reproduce the per-pair block loops bit for bit."""
+        rng = np.random.default_rng(59)
+        for _ in range(5):
+            inst = random_instance(rng)
+            tree, book = inst.tree, inst.book
+            coeffs = elimination_coefficients(compute_moments(tree, book), -0.4)
+            rhs = random_plan(tree, rng)
+
+            xi = rhs.copy()
+            for n in range(tree.last_issue, 0, -1):
+                y = diag_block_inverse(kind, coeffs, tree, n, n, xi.stage(n))
+                for k in range(n):
+                    xi.stage(k).values[...] -= coeffs.block_scale[n] * pair_block(
+                        kind, tree, book, k, n, y
+                    )
+            got = forward_eliminate(kind, coeffs, tree, book, rhs)
+            for a, b in zip(got.stages, xi.stages):
+                assert np.array_equal(a.values, b.values)
+
+            plan = PortfolioProcess.zeros(tree)
+            for k in range(tree.last_issue + 1):
+                acc = xi.stage(k).values.copy()
+                for l in range(k):
+                    acc -= coeffs.block_scale[k] * pair_block(
+                        kind, tree, book, k, l, plan.stage(l)
+                    )
+                plan.stages[k] = diag_block_inverse(
+                    kind, coeffs, tree, k, k, AdaptedVariable(k, acc)
+                )
+            got = back_substitute(kind, coeffs, tree, book, xi)
+            for a, b in zip(got.stages, plan.stages):
+                assert np.array_equal(a.values, b.values)
+
     def test_coin_solve_by_hand(self, coin2, coin2_moments):
         # B maps (x; y, z) to (x + y/2 - z/2; x/2 + y/2 + ..., ...); the
         # simplest hand check is B(plan) == rhs in coordinates
@@ -161,6 +197,34 @@ class TestDiagBlockInverse:
         centered = x.values - xbar[None, :]
         out = (da @ centered.T).T + (coeffs.pivot_cov(n, k) @ xbar)[None, :]
         return tree.adapted(k, out)
+
+    def test_singular_centered_pivot_raises_at_every_use(self, coin2, coin2_moments):
+        # at shift 1 the raw level-1 pivot is 1 but the centered one is 0
+        coeffs = elimination_coefficients(coin2_moments, shift=1.0)
+        x = coin2.tree.adapted(1, np.ones((2, 1)))
+        for _ in range(2):
+            with pytest.raises(SingularPivot) as exc:
+                diag_block_inverse(Kind.VARIANCE, coeffs, coin2.tree, 1, 1, x)
+            assert exc.value.level == 1 and exc.value.cond == np.inf
+        back = diag_block_inverse(Kind.SECOND_MOMENT, coeffs, coin2.tree, 1, 1, x)
+        np.testing.assert_allclose(back.values, x.values)
+
+    def test_each_pivot_is_condition_checked_once(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        inst = random_instance(rng, t_bar=2)
+        tree = inst.tree
+        coeffs = elimination_coefficients(compute_moments(tree, inst.book), shift=-0.3)
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(1) or cond(m))
+        for _ in range(3):
+            for k in range(tree.last_issue + 1):
+                x = tree.adapted(k, rng.standard_normal((tree.n_nodes(k), tree.n_contracts)))
+                for kind in (Kind.SECOND_MOMENT, Kind.VARIANCE):
+                    diag_block_inverse(kind, coeffs, tree, k, k, x)
+        # the raw level pivots were checked while building the coefficients;
+        # each centered one is checked on its first use only
+        assert len(calls) == tree.last_issue + 1
 
     @pytest.mark.parametrize("kind", [Kind.SECOND_MOMENT, Kind.VARIANCE])
     def test_round_trip(self, kind):

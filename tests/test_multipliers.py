@@ -6,8 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from reinsqp import multipliers
 from reinsqp.contracts import ContractBook, compute_moments
-from reinsqp.errors import InfeasibleDeterministic, InputError
+from reinsqp.errors import InfeasibleDeterministic, InputError, NumericalFailure
 from reinsqp.multipliers import (
     GRAM_COND_MAX,
     MultiplierSet,
@@ -170,6 +171,27 @@ class TestFirstApproximation:
         np.testing.assert_allclose(
             fa.multipliers.bounds.stage(0).values, [[0.0]], atol=1e-8
         )
+
+    def test_cycle_matches_theta_with_one_solve_per_node(self, coin2, monkeypatch):
+        moments = compute_moments(coin2.tree, coin2.book)
+        gram = l_gram(coin2.tree, coin2.book, coin2.config, moments)
+        det = deterministic_solution(coin2.tree, coin2.book, coin2.config, moments, gram.reps)
+        calls = []
+        solve = multipliers.nonneg_qp
+        monkeypatch.setattr(multipliers, "nonneg_qp", lambda *a: calls.append(1) or solve(*a))
+        fa = first_approximation(
+            coin2.tree, coin2.book, coin2.config, moments, det, gram
+        )
+        # one Gram step, then one nodewise solve per node for both parts
+        tree = coin2.tree
+        assert len(calls) == 1 + sum(tree.n_nodes(k) for k in range(tree.last_issue + 1))
+        for k in range(tree.last_issue + 1):
+            for sign, part in ((+1, fa.plan), (-1, fa.multipliers.bounds)):
+                alone = theta(
+                    tree, coin2.book, moments, gram.reps, k, sign,
+                    fa.multipliers.roe, fa.multipliers.mean, fa.relaxed_plan,
+                )
+                assert np.array_equal(alone.values, part.stage(k).values)
 
     def test_coin_mean_equality_shift(self, coin2):
         # the raw-form equality weight carries the floor on top of the
@@ -366,3 +388,18 @@ class TestIterateMaxMean:
     def test_missing_cap_is_rejected(self, coin2):
         with pytest.raises(InputError):
             iterate_max_mean(coin2.tree, coin2.book, coin2.config, max_iter=10)
+
+    def test_diverged_floor_zero_ladder_is_not_infeasible(self):
+        # seed-101 acceptance instance 8 (two issue stages): the oracle's
+        # max-mean floor at twice its minimal variance is about 1.55, but
+        # the floor-0 ladder diverges within 25 cycles to a variance near
+        # 1e98, which says nothing about what the cap admits
+        rng = np.random.default_rng(101)
+        inst = [random_instance(rng) for _ in range(9)][8]
+        sol = dense_qp(inst.tree, inst.book, inst.config, Form.MIN_VARIANCE)
+        config = dataclasses.replace(inst.config, variance_cap=2 * sol.variance_value)
+        assert dense_qp(inst.tree, inst.book, config, Form.MAX_MEAN).mean_value > 1.5
+        with pytest.raises(NumericalFailure, match="floor 0 did not converge") as exc:
+            iterate_max_mean(inst.tree, inst.book, config, max_iter=25)
+        assert "KKT total" in str(exc.value)
+        assert "after 25 cycles" in str(exc.value)

@@ -9,6 +9,8 @@ from reinsqp.operators import (
     block_apply,
     coordinate_layout,
     dense_matrix,
+    images,
+    leaf_scalar,
     representers,
 )
 from reinsqp.oracle import from_coords, to_coords
@@ -36,6 +38,17 @@ def random_plan(tree, rng):
             for k in range(tree.last_issue + 1)
         ],
     )
+
+
+def pair_block(kind, tree, book, k, l, x):
+    """The (k, l) block on its own: lift stage-l positions to the leaves,
+    weight by the settled results, center for the variance form, and
+    condition that single pair back onto depth k."""
+    scalar = np.sum(book.final_utility(l).values * tree.lift(x, tree.horizon).values, axis=1)
+    if kind is Kind.VARIANCE:
+        scalar = scalar - float(tree.path_prob[tree.horizon] @ scalar)
+    prod = tree.adapted(tree.horizon, book.final_utility(k).values * scalar[:, None])
+    return tree.conditional_expectation(prod, k).values
 
 
 class TestApplyGoldens:
@@ -91,6 +104,23 @@ class TestOperatorAlgebra:
             for l in range(tree.last_issue + 1):
                 acc += block_apply(Kind.SECOND_MOMENT, tree, book, k, l, plan.stage(l)).values
             np.testing.assert_allclose(acc, whole.stage(k).values, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", [Kind.SECOND_MOMENT, Kind.VARIANCE])
+    def test_stacked_images_equal_pairwise_blocks_bitwise(self, kind):
+        rng = np.random.default_rng(53)
+        for _ in range(5):
+            inst = random_instance(rng)
+            tree, book = inst.tree, inst.book
+            plan = random_plan(tree, rng)
+            stages = range(tree.last_issue + 1)
+            pairs = [(k, l) for k in stages for l in stages]
+            scalars = [leaf_scalar(kind, tree, book, l, plan.stage(l)) for l in stages]
+            stacked = images(tree, book, [(k, scalars[l]) for k, l in pairs])
+            for (k, l), image in zip(pairs, stacked):
+                want = pair_block(kind, tree, book, k, l, plan.stage(l))
+                assert np.array_equal(image, want)
+                got = block_apply(kind, tree, book, k, l, plan.stage(l)).values
+                assert np.array_equal(got, want)
 
     def test_centered_is_raw_minus_mean_square(self):
         rng = np.random.default_rng(41)

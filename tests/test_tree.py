@@ -184,6 +184,81 @@ def test_conditional_expectation_is_projection(seed):
     assert abs(tree.path_prob[tree.horizon] @ (resid * y_lifted)) < 1e-12
 
 
+def irregular_tree(rng: np.random.Generator) -> tuple[ScenarioTree, list[NodeSpec]]:
+    """A tree with mixed branching (one to four children), sparse node ids
+    in no particular order, and the node list shuffled."""
+    last_issue, lag = int(rng.integers(0, 3)), int(rng.integers(1, 3))
+    ids = iter(rng.permutation(10_000)[:2_000].tolist())
+    root = NodeSpec(next(ids), None, 0, 1.0)
+    nodes, level = [root], [root]
+    for d in range(1, last_issue + lag + 1):
+        nxt = []
+        for parent in level:
+            probs = rng.uniform(0.1, 1.0, int(rng.integers(1, 5)))
+            for p in probs / probs.sum():
+                nxt.append(NodeSpec(next(ids), parent.id, d, float(p)))
+        nodes += nxt
+        level = nxt
+    nodes = [nodes[i] for i in rng.permutation(len(nodes))]
+    return ScenarioTree.build(1, last_issue, lag, nodes), nodes
+
+
+def _by_depth(nodes: list[NodeSpec], depth: int) -> list[NodeSpec]:
+    return sorted((n for n in nodes if n.depth == depth), key=lambda n: n.id)
+
+
+def reference_condition(nodes, values, hi, lo):
+    """Node-by-node conditioning: every parent adds up its children's
+    probability-weighted values, children in ascending id order."""
+    vals = {n.id: values[i] for i, n in enumerate(_by_depth(nodes, hi))}
+    for d in range(hi, lo, -1):
+        acc = {n.id: np.zeros(values.shape[1:]) for n in _by_depth(nodes, d - 1)}
+        for n in _by_depth(nodes, d):
+            acc[n.parent] = acc[n.parent] + n.prob * vals[n.id]
+        vals = acc
+    return np.array([vals[n.id] for n in _by_depth(nodes, lo)])
+
+
+def reference_lift(nodes, values, lo, hi):
+    """Node-by-node lifting: every node takes its depth-``lo`` ancestor's value."""
+    parent = {n.id: n.parent for n in nodes}
+    row = {n.id: i for i, n in enumerate(_by_depth(nodes, lo))}
+    out = []
+    for n in _by_depth(nodes, hi):
+        node = n.id
+        for _ in range(hi - lo):
+            node = parent[node]
+        out.append(values[row[node]])
+    return np.array(out)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), width=st.sampled_from([None, 1, 3]))
+def test_calculus_matches_node_loops_bitwise(seed, width):
+    """Conditioning, stacked conditioning and lifting reproduce the plain
+    node loops bit for bit, on scalar (``width=None``) and vector values."""
+    rng = np.random.default_rng(seed)
+    tree, nodes = irregular_tree(rng)
+    hi = tree.horizon
+
+    def draw(depth):
+        shape = (tree.n_nodes(depth),) + (() if width is None else (width,))
+        return rng.standard_normal(shape)
+
+    for lo in range(hi + 1):
+        x = draw(hi)
+        got = tree.conditional_expectation(tree.adapted(hi, x), lo).values
+        assert np.array_equal(got, reference_condition(nodes, x, hi, lo))
+        y = draw(lo)
+        got = tree.lift(tree.adapted(lo, y), hi).values
+        assert np.array_equal(got, reference_lift(nodes, y, lo, hi))
+
+    targets = [int(t) for t in rng.integers(0, hi + 1, 4)]
+    blocks = [draw(hi) for _ in targets]
+    for block, target, got in zip(blocks, targets, tree.condition_stack(hi, blocks, targets)):
+        assert np.array_equal(got, reference_condition(nodes, block, hi, target))
+
+
 class TestPortfolioProcess:
     def make(self, tree, a, b):
         return PortfolioProcess(

@@ -42,8 +42,8 @@ from .multipliers import (
     l_gram,
 )
 from .operators import Kind, apply, block_apply, dense_matrix, representers
-from .oracle import Form, OracleSolution, assemble, dense_qp, dense_spectrum
-from .portfolio import ConstraintConfig, ConstraintReport, evaluate_constraints
+from .oracle import OracleSolution, assemble, dense_qp, dense_spectrum
+from .portfolio import ConstraintConfig, ConstraintReport, Form, evaluate_constraints
 from .scenario import Scenario, load, parse, validate_data
 from .tree import (
     AdaptedVariable,

@@ -29,8 +29,8 @@ from .contracts import check_hypotheses, compute_moments
 from .errors import Infeasible, InfeasibleDeterministic, InputError, ReinsqpError
 from .multipliers import MultiplierSet, iterate, iterate_max_mean, kkt_verify
 from .operators import Kind, dense_matrix, representers
-from .oracle import Form, dense_qp
-from .portfolio import evaluate_constraints
+from .oracle import dense_qp
+from .portfolio import Form, evaluate_constraints
 from .scenario import load, validate_data
 from .tree import PortfolioProcess, ScenarioTree
 
@@ -164,6 +164,25 @@ def _solve_payload(tree, res, form: str) -> dict:
     }
 
 
+def _bisection_payload(mean_floor: float, cap_binding: bool, trace) -> dict:
+    return {
+        "mean_floor": float(mean_floor),
+        "cap_binding": cap_binding,
+        "trace": [[float(e), float(v)] for e, v in trace],
+    }
+
+
+def _structured(args, tree, book, config):
+    """The ladder's answer in the chosen form, with the floor search that
+    found it for the max-mean form (None for the others)."""
+    form = Form(args.form)
+    if form is Form.MAX_MEAN:
+        mm = iterate_max_mean(tree, book, config, max_iter=args.max_iter, tol=args.tol_kkt)
+        return mm.result, mm
+    res = iterate(tree, book, config, max_iter=args.max_iter, tol=args.tol_kkt, form=form)
+    return res, None
+
+
 def _frontier_csv(args, tree, book, config) -> None:
     rows, levels = oracle.constraint_rows(tree, book, config)
     e_max = oracle.max_attainable_mean(rows, levels)
@@ -199,26 +218,10 @@ def cmd_solve(args) -> int:
     hyp = _checked_hypotheses(tree, book, args.strict)
     _self_check(tree, book, config, args.seed)
 
-    bisection = None
-    if args.form == Form.MAX_MEAN:
-        mm = iterate_max_mean(
-            tree, book, config, max_iter=args.max_iter, tol=args.tol_kkt
-        )
-        res = mm.result
-        bisection = {
-            "mean_floor": float(mm.mean_floor),
-            "cap_binding": mm.cap_binding,
-            "trace": [[float(e), float(v)] for e, v in mm.trace],
-        }
-    else:
-        res = iterate(
-            tree,
-            book,
-            config,
-            max_iter=args.max_iter,
-            tol=args.tol_kkt,
-            mean_equality=args.form == Form.FIXED_MEAN,
-        )
+    res, mm = _structured(args, tree, book, config)
+    bisection = (
+        None if mm is None else _bisection_payload(mm.mean_floor, mm.cap_binding, mm.trace)
+    )
     log.info(
         "ladder finished: %d cycles, kkt total %.3e", res.iterations, res.report.total
     )
@@ -253,26 +256,17 @@ def cmd_oracle(args) -> int:
     tree, book, config = _load_scenario(args)
     hyp = _checked_hypotheses(tree, book, args.strict)
     _self_check(tree, book, config, args.seed)
-    sol = dense_qp(tree, book, config, args.form)
+    form = Form(args.form)
+    sol = dense_qp(tree, book, config, form)
     log.info("dense program finished: %d pivots", sol.n_pivots)
     mults = MultiplierSet(sol.roe_multipliers, sol.mean_multiplier, sol.bound_multipliers)
-    kind = Kind.SECOND_MOMENT if args.form == Form.FIXED_MEAN else Kind.VARIANCE
-    if args.form == Form.MAX_MEAN:
+    if form is Form.MAX_MEAN:
         check_config = dataclasses.replace(
             config, mean_floor=sol.mean_floor, variance_cap=None
         )
     else:
         check_config = config
-    kkt = kkt_verify(
-        tree,
-        book,
-        check_config,
-        sol.plan,
-        mults,
-        kind=kind,
-        mean_equality=args.form == Form.FIXED_MEAN,
-        tol=args.tol_kkt,
-    )
+    kkt = kkt_verify(tree, book, check_config, sol.plan, mults, form, tol=args.tol_kkt)
     payload = {
         "report_type": "oracle",
         "input": args.input,
@@ -291,12 +285,10 @@ def cmd_oracle(args) -> int:
         "n_pivots": sol.n_pivots,
         "bisection": None,
     }
-    if args.form == Form.MAX_MEAN:
-        payload["bisection"] = {
-            "mean_floor": float(sol.mean_floor),
-            "cap_binding": sol.cap_binding,
-            "trace": [[float(e), float(v)] for e, v in sol.bisection_trace],
-        }
+    if form is Form.MAX_MEAN:
+        payload["bisection"] = _bisection_payload(
+            sol.mean_floor, sol.cap_binding, sol.bisection_trace
+        )
     _emit(args, payload)
     if args.strict and not kkt.converged:
         log.error("oracle optimality check failed")
@@ -347,20 +339,7 @@ def cmd_compare(args) -> int:
     _self_check(tree, book, config, args.seed)
 
     sol = dense_qp(tree, book, config, args.form)
-    if args.form == Form.MAX_MEAN:
-        mm = iterate_max_mean(
-            tree, book, config, max_iter=args.max_iter, tol=args.tol_kkt
-        )
-        res = mm.result
-    else:
-        res = iterate(
-            tree,
-            book,
-            config,
-            max_iter=args.max_iter,
-            tol=args.tol_kkt,
-            mean_equality=args.form == Form.FIXED_MEAN,
-        )
+    res, _ = _structured(args, tree, book, config)
     solve_report = evaluate_constraints(tree, book, config, res.plan)
     scale = 1.0 + sol.plan.max_abs()
     plan_dev = (res.plan - sol.plan).max_abs()
@@ -409,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict", action="store_true",
                        help="turn hypothesis violations and unverified results into errors")
         if formed:
-            p.add_argument("--form", choices=Form.ALL, default=Form.MIN_VARIANCE,
+            p.add_argument("--form", choices=[f.value for f in Form],
+                           default=Form.MIN_VARIANCE.value,
                            help="problem form (default min-variance)")
             p.add_argument("--e", type=float, default=None,
                            help="override the mean floor")

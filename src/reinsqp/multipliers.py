@@ -16,10 +16,13 @@ an optional fixed-point iteration of the projection cycle.  No rung is
 claimed to converge; every result carries its verified optimality report
 and the iteration records its residual history honestly.
 
-Two problem forms are served.  The floor form (mean >= level, centered
-operator, all weights signed) is the primary route; the target form
-(mean == level, raw operator) frees the mean weight, which is eliminated
-from the Gram step by one Schur complement.
+Every problem-level function takes a :class:`~reinsqp.portfolio.Form`.
+``Form.MIN_VARIANCE`` (mean >= level, centered operator, all weights
+signed) is the primary route; ``Form.FIXED_MEAN`` (mean == level, raw
+operator) frees the mean weight, which is eliminated from the Gram step by
+one Schur complement.  ``Form.MAX_MEAN`` is solved by
+:func:`iterate_max_mean`, which runs the min-variance ladder at each floor
+of the oracle's shared floor search.
 """
 
 from __future__ import annotations
@@ -39,7 +42,14 @@ from .errors import (
     SingularPivot,
 )
 from .operators import Kind, Representers, apply, images, leaf_scalar, representers
-from .portfolio import ConstraintConfig, evaluate_constraints, mean_final, variance_final
+from .oracle import MaxMeanResult
+from .portfolio import (
+    ConstraintConfig,
+    Form,
+    evaluate_constraints,
+    mean_final,
+    variance_final,
+)
 from .qp import nonneg_qp, solve_qp
 from .tree import AdaptedVariable, PortfolioProcess, ScenarioTree, inner_product, norm
 
@@ -49,10 +59,6 @@ KKT_TOL = 1e-8
 GRAM_COND_MAX = 1e12
 #: relative growth below which a residual step still counts as monotone
 RESIDUAL_JITTER = 1e-12
-
-
-def _form_kind(mean_equality: bool) -> Kind:
-    return Kind.SECOND_MOMENT if mean_equality else Kind.VARIANCE
 
 
 @dataclass
@@ -120,14 +126,12 @@ class RepresenterGram:
     """The representer Gram system in the governing form's geometry.
 
     ``inverse_gram[t, s]`` is the pairing of representer t with the solved
-    image of representer s (profitability rows first, mean last);
-    ``gram`` its inverse, ridge-stabilized and flagged when the rows are
-    numerically dependent.
+    image of representer s (profitability rows first, mean last), flagged
+    ``near_singular`` when the rows are numerically dependent.
     """
 
     solved: list[PortfolioProcess]
     inverse_gram: np.ndarray
-    gram: np.ndarray
     cond: float
     near_singular: bool
     solver: FormSolver = field(repr=False)
@@ -167,14 +171,7 @@ def l_gram(
     inv_gram = 0.5 * (inv_gram + inv_gram.T)
     cond = float(np.linalg.cond(inv_gram))
     near_singular = not np.isfinite(cond) or cond > GRAM_COND_MAX
-    if near_singular:
-        ridge = 1e-10 * max(float(np.trace(inv_gram)) / n, np.finfo(float).tiny)
-        stabilized = inv_gram + ridge * np.eye(n)
-    else:
-        stabilized = inv_gram
-    gram = np.linalg.inv(stabilized)
-    gram = 0.5 * (gram + gram.T)
-    return RepresenterGram(solved, inv_gram, gram, cond, near_singular, solver, reps)
+    return RepresenterGram(solved, inv_gram, cond, near_singular, solver, reps)
 
 
 def _stabilized_pairing(gram: RepresenterGram) -> np.ndarray:
@@ -187,18 +184,18 @@ def _stabilized_pairing(gram: RepresenterGram) -> np.ndarray:
 
 
 def _multiplier_step(
-    gram: RepresenterGram, r: np.ndarray, levels: np.ndarray, mean_equality: bool
+    gram: RepresenterGram, r: np.ndarray, levels: np.ndarray, form: Form
 ) -> np.ndarray:
     """Sign-constrained multiplier update.
 
-    Floor form: the small complementarity problem on the pairing matrix,
+    Mean floor: the small complementarity problem on the pairing matrix,
     driven by how far each pairing sits from its level; its primal is the
-    multiplier vector and its dual the constraint slacks.  Target form: the
+    multiplier vector and its dual the constraint slacks.  Fixed mean: the
     mean weight is free, so it is eliminated by a Schur complement on the
     pairing matrix and recovered from the resulting equality.
     """
     li = _stabilized_pairing(gram)
-    if not mean_equality:
+    if form is not Form.FIXED_MEAN:
         return nonneg_qp(li, levels - r).primal
     gap = r - levels
     roe, m = slice(0, li.shape[0] - 1), li.shape[0] - 1
@@ -225,7 +222,7 @@ def deterministic_solution(
     config: ConstraintConfig,
     moments: MomentTables | None = None,
     reps: Representers | None = None,
-    mean_equality: bool = False,
+    form: Form = Form.MIN_VARIANCE,
 ) -> DeterministicSolution:
     """Solve the expectation-level problem: every representer is replaced by
     its expectation, making positions and multipliers constant per stage.
@@ -255,7 +252,8 @@ def deterministic_solution(
     levels = config.levels(tree)
     n_rows = rows.shape[0]
 
-    if mean_equality:
+    pinned = form is Form.FIXED_MEAN
+    if pinned:
         a_eq, b_eq = rows[-1:], levels[-1:]
         a_in = np.vstack([rows[:-1], np.eye(dim)])
         b_in = np.concatenate([levels[:-1], np.zeros(dim)])
@@ -268,7 +266,7 @@ def deterministic_solution(
     except Infeasible as exc:
         raise InfeasibleDeterministic(str(exc)) from exc
 
-    if mean_equality:
+    if pinned:
         roe = res.ineq_multipliers[: n_rows - 1]
         mean_mult = float(res.eq_multipliers[0])
         nu_flat = res.ineq_multipliers[n_rows - 1 :]
@@ -339,8 +337,9 @@ def _project_stage(
     scalars: list[np.ndarray | None],
 ) -> tuple[AdaptedVariable, AdaptedVariable]:
     """Both parts of the stage-k projection, from one argument and one
-    nodewise solve; ``scalars[l]`` is the leaf scalar of the plan's stage l
-    (unused at l = k), whose images couple stage l into stage k."""
+    nodewise solve stacked over the stage's nodes; ``scalars[l]`` is the
+    leaf scalar of the plan's stage l (unused at l = k), whose images
+    couple stage l into stage k."""
     arg = mean_weight * reps.mean.stage(k).values.copy()
     for t, w in enumerate(roe_weights):
         if w != 0.0:
@@ -353,11 +352,8 @@ def _project_stage(
     couplings = [(k, s) for l, s in enumerate(scalars) if l != k]
     for image in images(tree, book, couplings):
         arg = arg - image
-    primal, dual = np.empty_like(arg), np.empty_like(arg)
-    for v in range(arg.shape[0]):
-        result = nonneg_qp(ma, arg[v])
-        primal[v], dual[v] = result.primal, result.dual
-    return AdaptedVariable(k, primal), AdaptedVariable(k, dual)
+    result = nonneg_qp(ma, arg)
+    return AdaptedVariable(k, result.primal), AdaptedVariable(k, result.dual)
 
 
 def _projection_cycle(
@@ -367,14 +363,14 @@ def _projection_cycle(
     moments: MomentTables,
     gram: RepresenterGram,
     nu: PortfolioProcess,
-    mean_equality: bool,
+    form: Form,
 ):
     """One full update: multipliers from the Gram step, relaxed plan from a
     governing-form solve, then the nodewise projection split."""
     kind = gram.solver.kind
     levels = config.levels(tree)
     r = gram.r_vector(nu)
-    weights = _multiplier_step(gram, r, levels, mean_equality)
+    weights = _multiplier_step(gram, r, levels, form)
     roe_w, mean_w = weights[:-1], float(weights[-1])
     rhs = gram.reps.combine(roe_w, mean_w) + nu
     relaxed = gram.solver.solve(rhs)
@@ -412,7 +408,7 @@ def first_approximation(
     moments: MomentTables | None = None,
     deterministic: DeterministicSolution | None = None,
     gram: RepresenterGram | None = None,
-    mean_equality: bool = False,
+    form: Form = Form.MIN_VARIANCE,
 ) -> FirstApproximation:
     """Run the ladder once: deterministic multipliers seed the Gram step,
     a governing-form solve produces the relaxed plan, and the projection
@@ -420,13 +416,13 @@ def first_approximation(
     if moments is None:
         moments = compute_moments(tree, book)
     if gram is None:
-        gram = l_gram(tree, book, config, moments, kind=_form_kind(mean_equality))
+        gram = l_gram(tree, book, config, moments, kind=form.kind)
     if deterministic is None:
         deterministic = deterministic_solution(
-            tree, book, config, moments, gram.reps, mean_equality
+            tree, book, config, moments, gram.reps, form
         )
     mults, plan, relaxed = _projection_cycle(
-        tree, book, config, moments, gram, deterministic.multipliers.bounds, mean_equality
+        tree, book, config, moments, gram, deterministic.multipliers.bounds, form
     )
     return FirstApproximation(plan, relaxed, mults, deterministic, gram)
 
@@ -477,8 +473,7 @@ def kkt_verify(
     config: ConstraintConfig,
     plan: PortfolioProcess,
     mults: MultiplierSet,
-    kind: Kind = Kind.VARIANCE,
-    mean_equality: bool = False,
+    form: Form = Form.MIN_VARIANCE,
     reps: Representers | None = None,
     tol: float = KKT_TOL,
 ) -> KktReport:
@@ -486,26 +481,29 @@ def kkt_verify(
 
     Every ingredient is recomputed through the tree calculus (operator
     application, constraint slacks), so the report is meaningful for
-    candidates produced by any route, including the dense oracle.
+    candidates produced by any route, including the dense oracle.  A
+    max-mean candidate is checked as a min-variance optimum, under a
+    ``config`` with its floor and no cap.
     """
     if reps is None:
         reps = representers(tree, book, config)
+    pinned = form is Form.FIXED_MEAN
     rhs = reps.combine(mults.roe, mults.mean) + mults.bounds
-    image = apply(kind, tree, book, plan)
+    image = apply(form.kind, tree, book, plan)
     scale = 1.0 + norm(tree, rhs)
     stationarity = norm(tree, image - rhs) / scale
 
     report = evaluate_constraints(tree, book, config, plan)
     infeas = max(
         float(np.max(-report.roe_slacks, initial=0.0)),
-        (abs(report.mean_slack) if mean_equality else max(-report.mean_slack, 0.0)),
+        (abs(report.mean_slack) if pinned else max(-report.mean_slack, 0.0)),
         max(-plan.min_value(), 0.0),
     )
 
     compl = 0.0
     for t, lam in enumerate(mults.roe):
         compl = max(compl, abs(lam * report.roe_slacks[t]) / (1.0 + abs(lam)))
-    if not mean_equality:
+    if not pinned:
         compl = max(
             compl, abs(mults.mean * report.mean_slack) / (1.0 + abs(mults.mean))
         )
@@ -517,7 +515,7 @@ def kkt_verify(
             compl = max(compl, float(prods.max()))
 
     sign = max(float(np.max(-mults.roe, initial=0.0)), max(-mults.bounds.min_value(), 0.0))
-    if not mean_equality:
+    if not pinned:
         sign = max(sign, max(-mults.mean, 0.0))
 
     return KktReport(stationarity, infeas, compl, sign, tol)
@@ -539,15 +537,7 @@ def assemble_solution(
     if reps is None:
         reps = representers(tree, book, config)
     rhs = reps.combine(mults.roe, mults.mean) + mults.bounds
-    try:
-        result = elimination.solve(kind, tree, book, moments, 0.0, rhs)
-        if result.residual_ok:
-            return result.plan
-    except SingularPivot:
-        pass
-    dense = oracle.assemble(tree, book, config, kind)
-    plan, _ = oracle.dense_solve_linear(dense, rhs)
-    return plan
+    return FormSolver(tree, book, moments, config, kind).solve(rhs)
 
 
 @dataclass
@@ -574,7 +564,7 @@ def iterate(
     max_iter: int = 0,
     tol: float = KKT_TOL,
     moments: MomentTables | None = None,
-    mean_equality: bool = False,
+    form: Form = Form.MIN_VARIANCE,
 ) -> IterationResult:
     """First approximation plus up to ``max_iter`` projection cycles.
 
@@ -582,19 +572,17 @@ def iterate(
     Gram step.  The residual history is recorded as computed; any material
     increase, or a residual that stops being finite, raises the
     non-monotone flag but does not stop the loop, and no convergence is
-    claimed beyond what the final report shows.
+    claimed beyond what the final report shows.  The max-mean form is
+    solved by :func:`iterate_max_mean`, which runs this at each floor.
     """
+    if form is Form.MAX_MEAN:
+        raise InputError("the max-mean form is solved by iterate_max_mean")
     if moments is None:
         moments = compute_moments(tree, book)
-    kind = _form_kind(mean_equality)
-    first = first_approximation(
-        tree, book, config, moments, mean_equality=mean_equality
-    )
+    first = first_approximation(tree, book, config, moments, form=form)
     gram = first.gram
     plan, relaxed, mults = first.plan, first.relaxed_plan, first.multipliers
-    report = kkt_verify(
-        tree, book, config, plan, mults, kind, mean_equality, reps=gram.reps, tol=tol
-    )
+    report = kkt_verify(tree, book, config, plan, mults, form, reps=gram.reps, tol=tol)
     history = [report.total]
     non_monotone = False
     done = 0
@@ -602,11 +590,9 @@ def iterate(
         if report.converged:
             break
         mults, plan, relaxed = _projection_cycle(
-            tree, book, config, moments, gram, mults.bounds, mean_equality
+            tree, book, config, moments, gram, mults.bounds, form
         )
-        report = kkt_verify(
-            tree, book, config, plan, mults, kind, mean_equality, reps=gram.reps, tol=tol
-        )
+        report = kkt_verify(tree, book, config, plan, mults, form, reps=gram.reps, tol=tol)
         history.append(report.total)
         done += 1
         grew = history[-1] > history[-2] * (1.0 + RESIDUAL_JITTER)
@@ -627,96 +613,42 @@ def iterate(
     )
 
 
-@dataclass
-class MaxMeanResult:
-    """Largest mean floor whose approximate solve respects the variance
-    cap, with the solve at that floor and the evaluated floors."""
-
-    result: IterationResult
-    mean_floor: float
-    cap_binding: bool
-    trace: list[tuple[float, float]]
-
-
 def iterate_max_mean(
     tree: ScenarioTree,
     book: ContractBook,
     config: ConstraintConfig,
     max_iter: int = 0,
     tol: float = KKT_TOL,
-    bisect_tol: float = oracle.BISECTION_TOL,
 ) -> MaxMeanResult:
     """Mean-maximal form through the approximation ladder.
 
-    Bisects the mean floor of the floor-form solve until the plan's
-    variance meets the cap, mirroring the dense oracle's search but with
-    the approximate plans.  Their variances need not be exactly monotone
-    in the floor, so the returned floor is only as good as the recorded
-    optimality reports; the trace keeps every (floor, variance) pair
-    evaluated.  A cap below the floor-0 variance is infeasible only when
-    that ladder converged; otherwise the search raises a numerical failure.
+    Runs the oracle's floor search (:func:`oracle.max_mean_floor`) with a
+    min-variance ladder at each floor, so its ``result`` is an
+    :class:`IterationResult`.  The ladder's variances need not be exactly
+    monotone in the floor, so the returned floor is only as good as the
+    recorded optimality reports; the trace keeps every (floor, variance)
+    pair evaluated.  A cap below the floor-0 variance is infeasible only
+    when that ladder converged; otherwise the search raises a numerical
+    failure.
     """
     cap = config.variance_cap
     if cap is None:
         raise InputError("the mean-maximal form needs a variance cap")
     moments = compute_moments(tree, book)
-    trace: list[tuple[float, float]] = []
 
-    def solve_at(floor: float) -> tuple[IterationResult, float]:
+    def solve_at(floor: float) -> tuple[IterationResult, float, float]:
         cfg = dataclasses.replace(config, mean_floor=floor, variance_cap=None)
         res = iterate(tree, book, cfg, max_iter=max_iter, tol=tol, moments=moments)
-        var = variance_final(tree, book, res.plan)
-        trace.append((floor, var))
-        return res, var
+        return res, variance_final(tree, book, res.plan), mean_final(tree, book, res.plan)
 
-    lo = 0.0
-    res_lo, var_lo = solve_at(lo)
-    if var_lo > cap * (1 + bisect_tol):
+    def check_floor0(res: IterationResult, var: float) -> None:
         # only a converged plan shows what variance is attainable
-        if not res_lo.converged:
+        if not res.converged:
             raise NumericalFailure(
-                f"ladder at mean floor {lo:g} did not converge (KKT total "
-                f"{res_lo.report.total:.6g} after {res_lo.iterations} cycles), "
-                f"so its variance {var_lo:.6g} does not bound the cap {cap:.6g}"
+                f"ladder at mean floor 0 did not converge (KKT total "
+                f"{res.report.total:.6g} after {res.iterations} cycles), "
+                f"so its variance {var:.6g} does not bound the cap {cap:.6g}"
             )
-        raise Infeasible(
-            f"minimal attainable variance {var_lo:.6g} exceeds cap {cap:.6g}"
-        )
-    rows, levels = oracle.constraint_rows(tree, book, config)
-    e_max = oracle.max_attainable_mean(rows, levels)
-    hi = max(1.0, 2 * abs(mean_final(tree, book, res_lo.plan)))
-    res_hi = var_hi = None
-    for _ in range(80):
-        if e_max is not None and hi >= e_max:
-            hi = e_max
-            break
-        res_hi, var_hi = solve_at(hi)
-        if var_hi >= cap:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalFailure("variance cap bracket not found")
-    if e_max is not None and hi == e_max:
-        res_probe, var_probe = solve_at(e_max)
-        if var_probe < cap * (1 - bisect_tol):
-            return MaxMeanResult(res_probe, e_max, False, trace)
-        res_hi, var_hi = res_probe, var_probe
 
-    best, best_floor = res_hi, hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        res_mid, var_mid = solve_at(mid)
-        if abs(var_mid - cap) <= bisect_tol * cap:
-            best, best_floor = res_mid, mid
-            break
-        if var_mid > cap:
-            hi = mid
-            best, best_floor = res_mid, mid
-        else:
-            lo = mid
-    else:
-        mid = 0.5 * (lo + hi)
-        best, best_floor = solve_at(mid)[0], mid
-    if best is None:
-        best, best_floor = solve_at(hi)[0], hi
-    return MaxMeanResult(best, best_floor, True, trace)
+    rows, levels = oracle.constraint_rows(tree, book, config)
+    return oracle.max_mean_floor(solve_at, cap, rows, levels, check_floor0=check_floor0)

@@ -19,7 +19,6 @@ deliberately independent of the conditional-expectation route used by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .contracts import ContractBook
 from .errors import InputError, NumericalFailure
 from .portfolio import (
     ConstraintConfig,
+    Kind,
     final_utility_rv,
     mean_final,
     utility_growth,
@@ -36,13 +36,6 @@ from .tree import AdaptedVariable, PortfolioProcess, ScenarioTree, inner_product
 
 #: default cap on the dense coordinate dimension
 DENSE_MAX_DIM = 5000
-
-
-class Kind(str, Enum):
-    """Which quadratic form an operator routine should realize."""
-
-    SECOND_MOMENT = "second_moment"
-    VARIANCE = "variance"
 
 
 def leaf_scalar(
@@ -229,11 +222,12 @@ def dense_matrix(
     probability; the Gram matrix is then a single weighted product over
     leaves.  The weighting makes the matrix symmetric and makes plain
     Euclidean solves and eigendecompositions equivalent to the tree's own
-    geometry.
+    geometry.  Past ``max_dim`` coordinates the matrix is not built: the
+    input is valid, but too large for a dense method.
     """
     layout = coordinate_layout(tree)
     if layout.dim > max_dim:
-        raise InputError(f"dense dimension {layout.dim} exceeds cap {max_dim}")
+        raise NumericalFailure(f"dense dimension {layout.dim} exceeds cap {max_dim}")
     n_leaves = tree.n_nodes(tree.horizon)
     p_leaf = tree.path_prob[tree.horizon]
 

@@ -4,14 +4,19 @@ Everything here works in probability-weighted flat coordinates, where the
 tree's inner product becomes the Euclidean one: plans map to vectors, the
 quadratic forms to explicit Gram matrices assembled by leaf enumeration,
 linear functionals to plain rows, and the underwriting problems to dense
-quadratic programs.  Nothing is shared with the structured solver except
-the tree itself, so agreement between the two routes is meaningful
-evidence.
+quadratic programs.  The Gram matrices do not touch the structured
+operators or their elimination.  The two routes do share the tree, the
+contract book, the representer processes (flattened here into constraint
+rows), the active-set engine of ``qp`` and, for the max-mean form, the
+floor search :func:`max_mean_floor`.  Agreement between the routes is
+therefore evidence about the structured factorization and the multiplier
+ladder, not about those shared parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 from scipy.optimize import linprog
@@ -19,14 +24,13 @@ from scipy.optimize import linprog
 from .contracts import ContractBook
 from .errors import Infeasible, InputError, NumericalFailure
 from .operators import (
-    DENSE_MAX_DIM,
     CoordinateLayout,
     Kind,
     coordinate_layout,
     dense_matrix,
     representers,
 )
-from .portfolio import ConstraintConfig
+from .portfolio import ConstraintConfig, Form
 from .qp import phase1_point, solve_qp
 from .tree import PortfolioProcess, ScenarioTree
 
@@ -34,16 +38,6 @@ from .tree import PortfolioProcess, ScenarioTree
 DENSE_RESIDUAL_TOL = 1e-12
 #: relative gap at which the variance-cap bisection stops
 BISECTION_TOL = 1e-6
-
-
-class Form:
-    """The three supported problem forms."""
-
-    MIN_VARIANCE = "min-variance"
-    FIXED_MEAN = "fixed-mean"
-    MAX_MEAN = "max-mean"
-
-    ALL = (MIN_VARIANCE, FIXED_MEAN, MAX_MEAN)
 
 
 def to_coords(tree: ScenarioTree, plan: PortfolioProcess) -> np.ndarray:
@@ -91,7 +85,6 @@ def assemble(
     book: ContractBook,
     config: ConstraintConfig,
     kind: Kind,
-    max_dim: int = DENSE_MAX_DIM,
 ) -> DenseProblem:
     """Materialize the Gram matrix and all constraint rows.
 
@@ -99,7 +92,7 @@ def assemble(
     the expected-final-utility functional; ``levels`` holds their
     right-hand sides with the mean floor last.
     """
-    gram = dense_matrix(kind, tree, book, max_dim=max_dim)
+    gram = dense_matrix(kind, tree, book)
     rows, levels = constraint_rows(tree, book, config)
     return DenseProblem(
         kind, gram, rows, levels, coordinate_layout(tree), tree, book, config
@@ -131,7 +124,7 @@ class OracleSolution:
     """A certified optimum of one problem form, with all multipliers mapped
     back to plan space."""
 
-    form: str
+    form: Form
     plan: PortfolioProcess
     coords: np.ndarray
     roe_multipliers: np.ndarray
@@ -146,14 +139,15 @@ class OracleSolution:
     cap_binding: bool | None = None
 
 
-def _qp_once(problem: DenseProblem, mean_floor: float, mean_equality: bool) -> OracleSolution:
+def _qp_once(problem: DenseProblem, mean_floor: float, form: Form) -> OracleSolution:
     d = problem.layout.dim
     n_roe = problem.rows.shape[0] - 1
     roe_rows = problem.rows[:-1]
     mean_row = problem.rows[-1]
     levels = np.append(problem.levels[:-1], mean_floor)
     bounds_rows = np.eye(d)
-    if mean_equality:
+    pinned = form is Form.FIXED_MEAN
+    if pinned:
         a_eq, b_eq = mean_row[None, :], np.array([mean_floor])
         a_in = np.vstack([roe_rows, bounds_rows])
         b_in = np.concatenate([levels[:-1], np.zeros(d)])
@@ -164,7 +158,7 @@ def _qp_once(problem: DenseProblem, mean_floor: float, mean_equality: bool) -> O
     x0 = phase1_point(a_eq, b_eq, a_in, b_in, d, nonneg=False)
     res = solve_qp(problem.gram, np.zeros(d), a_eq, b_eq, a_in, b_in, x0=x0)
 
-    if mean_equality:
+    if pinned:
         mean_mult = float(res.eq_multipliers[0])
         roe_mults = res.ineq_multipliers[:n_roe]
         nu = res.ineq_multipliers[n_roe:]
@@ -179,7 +173,7 @@ def _qp_once(problem: DenseProblem, mean_floor: float, mean_equality: bool) -> O
     variance = quad - mean_val**2 if problem.kind is Kind.SECOND_MOMENT else quad
     objective = quad
     return OracleSolution(
-        form=Form.FIXED_MEAN if mean_equality else Form.MIN_VARIANCE,
+        form=form,
         plan=from_coords(problem.tree, x),
         coords=x,
         roe_multipliers=np.asarray(roe_mults, dtype=float),
@@ -223,86 +217,115 @@ def max_attainable_mean(rows: np.ndarray, levels: np.ndarray) -> float | None:
     return float(-res.fun)
 
 
+@dataclass
+class MaxMeanResult:
+    """Largest mean floor whose solve respects the variance cap, the solve
+    at that floor, and every (floor, variance) pair evaluated."""
+
+    result: Any
+    mean_floor: float
+    cap_binding: bool
+    trace: list[tuple[float, float]]
+
+
+def max_mean_floor(
+    solve_at: Callable[[float], tuple[Any, float, float]],
+    cap: float,
+    rows: np.ndarray,
+    levels: np.ndarray,
+    bisect_tol: float = BISECTION_TOL,
+    check_floor0: Callable[[Any, float], None] | None = None,
+) -> MaxMeanResult:
+    """Search the mean floor of the min-variance form for the largest one
+    whose variance meets the cap.
+
+    ``solve_at(floor)`` solves the min-variance form at that floor and
+    returns ``(result, variance, mean)``.  The search relies on the optimal
+    variance being nondecreasing in the floor.  A floor-0 variance above
+    the cap is infeasible; ``check_floor0(result, variance)`` runs first
+    and may raise a more specific error.  From floor 0 the floor doubles
+    until the variance reaches the cap or the floor reaches the largest
+    attainable mean of ``rows`` and ``levels``; a cap still slack there
+    returns that floor with ``cap_binding=False``.  Otherwise the floor is
+    bisected until the variance meets the cap in relative terms.
+    """
+    trace: list[tuple[float, float]] = []
+
+    def visit(floor: float) -> tuple[Any, float, float]:
+        result, variance, mean = solve_at(floor)
+        trace.append((floor, variance))
+        return result, variance, mean
+
+    lo = 0.0
+    res_lo, var_lo, mean_lo = visit(lo)
+    if var_lo > cap * (1 + bisect_tol):
+        if check_floor0 is not None:
+            check_floor0(res_lo, var_lo)
+        raise Infeasible(
+            f"minimal attainable variance {var_lo:.6g} exceeds cap {cap:.6g}"
+        )
+    e_max = max_attainable_mean(rows, levels)
+    hi = max(1.0, 2 * abs(mean_lo))
+    for _ in range(80):
+        if e_max is not None and hi >= e_max:
+            hi = e_max
+            break
+        if visit(hi)[1] >= cap:
+            break
+        hi *= 2.0
+    else:
+        raise NumericalFailure("variance cap bracket not found")
+    if e_max is not None and hi == e_max:
+        res, var, _ = visit(e_max)
+        if var < cap * (1 - bisect_tol):
+            return MaxMeanResult(res, e_max, False, trace)
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        res, var, _ = visit(mid)
+        if abs(var - cap) <= bisect_tol * cap:
+            return MaxMeanResult(res, mid, True, trace)
+        if var > cap:
+            hi = mid
+        else:
+            lo = mid
+    mid = 0.5 * (lo + hi)
+    return MaxMeanResult(visit(mid)[0], mid, True, trace)
+
+
 def dense_qp(
     tree: ScenarioTree,
     book: ContractBook,
     config: ConstraintConfig,
-    form: str,
-    max_dim: int = DENSE_MAX_DIM,
+    form: Form,
     bisect_tol: float = BISECTION_TOL,
 ) -> OracleSolution:
     """Solve one of the three problem forms by dense quadratic programming.
 
-    The variance-maximum form runs a bisection over the mean floor of the
-    minimum-variance form: the optimal variance is nondecreasing in the
-    floor, and the search stops when it meets the cap in relative terms.
-    When the cap stays slack across every attainable floor the solution at
-    the largest attainable floor is returned with ``cap_binding=False``.
+    The max-mean form runs :func:`max_mean_floor` on the min-variance
+    form; the returned solution carries the floors it visited.
     """
-    if form not in Form.ALL:
-        raise InputError(f"unknown form {form!r}")
-    if form == Form.FIXED_MEAN:
-        problem = assemble(tree, book, config, Kind.SECOND_MOMENT, max_dim=max_dim)
-        return _qp_once(problem, config.mean_floor, mean_equality=True)
-    problem = assemble(tree, book, config, Kind.VARIANCE, max_dim=max_dim)
-    if form == Form.MIN_VARIANCE:
-        sol = _qp_once(problem, config.mean_floor, mean_equality=False)
-        if config.variance_cap is not None:
+    try:
+        form = Form(form)
+    except ValueError:
+        raise InputError(f"unknown form {form!r}") from None
+    problem = assemble(tree, book, config, form.kind)
+    if form is not Form.MAX_MEAN:
+        sol = _qp_once(problem, config.mean_floor, form)
+        if form is Form.MIN_VARIANCE and config.variance_cap is not None:
             sol.cap_binding = sol.variance_value >= config.variance_cap * (1 - bisect_tol)
         return sol
 
     cap = config.variance_cap
     if cap is None:
         raise InputError("the variance-maximum form needs a variance cap")
-    trace: list[tuple[float, float]] = []
 
-    def variance_at(floor: float) -> OracleSolution:
-        sol = _qp_once(problem, floor, mean_equality=False)
-        trace.append((floor, sol.variance_value))
-        return sol
+    def solve_at(floor: float) -> tuple[OracleSolution, float, float]:
+        sol = _qp_once(problem, floor, form)
+        return sol, sol.variance_value, sol.mean_value
 
-    lo = 0.0
-    sol_lo = variance_at(lo)
-    if sol_lo.variance_value > cap * (1 + bisect_tol):
-        raise Infeasible(
-            f"minimal attainable variance {sol_lo.variance_value:.6g} exceeds cap {cap:.6g}"
-        )
-    e_max = max_attainable_mean(problem.rows, problem.levels)
-    hi = max(1.0, 2 * abs(sol_lo.mean_value))
-    sol_hi = None
-    for _ in range(80):
-        if e_max is not None and hi >= e_max:
-            hi = e_max
-            break
-        sol_hi = variance_at(hi)
-        if sol_hi.variance_value >= cap:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalFailure("variance cap bracket not found")
-    if e_max is not None and hi == e_max:
-        probe = variance_at(e_max)
-        if probe.variance_value < cap * (1 - bisect_tol):
-            probe.form = Form.MAX_MEAN
-            probe.cap_binding = False
-            probe.bisection_trace = trace
-            return probe
-
-    best = sol_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        sol_mid = variance_at(mid)
-        if abs(sol_mid.variance_value - cap) <= bisect_tol * cap:
-            best = sol_mid
-            break
-        if sol_mid.variance_value > cap:
-            hi = mid
-            best = sol_mid
-        else:
-            lo = mid
-    else:
-        best = variance_at(0.5 * (lo + hi))
-    best.form = Form.MAX_MEAN
-    best.cap_binding = True
-    best.bisection_trace = trace
+    found = max_mean_floor(solve_at, cap, problem.rows, problem.levels, bisect_tol)
+    best = found.result
+    best.cap_binding = found.cap_binding
+    best.bisection_trace = found.trace
     return best

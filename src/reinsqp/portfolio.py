@@ -11,6 +11,7 @@ nonnegative volumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -20,6 +21,35 @@ from .tree import AdaptedVariable, PortfolioProcess, ScenarioTree
 
 #: absolute feasibility tolerance for constraint slacks
 FEAS_TOL = 1e-8
+
+
+class Kind(str, Enum):
+    """Which quadratic form an operator routine should realize."""
+
+    SECOND_MOMENT = "second_moment"
+    VARIANCE = "variance"
+
+
+class Form(str, Enum):
+    """The three supported problem forms.
+
+    Members format as their values, so reports and messages read
+    ``max-mean``, not ``Form.MAX_MEAN``.
+    """
+
+    MIN_VARIANCE = "min-variance"
+    FIXED_MEAN = "fixed-mean"
+    MAX_MEAN = "max-mean"
+
+    __str__ = str.__str__
+    __format__ = str.__format__
+
+    @property
+    def kind(self) -> Kind:
+        """The governing quadratic form: the fixed-mean form pins the mean,
+        so its second moment differs from the variance by a constant; the
+        other two bound the mean from below and minimize the variance."""
+        return Kind.SECOND_MOMENT if self is Form.FIXED_MEAN else Kind.VARIANCE
 
 
 @dataclass(frozen=True)
@@ -119,9 +149,13 @@ class ConstraintReport:
     mean_value: float
     variance_value: float
 
-    def feasible(self, tol: float = FEAS_TOL, mean_equality: bool = False) -> bool:
+    def feasible(self, tol: float = FEAS_TOL, form: Form = Form.MIN_VARIANCE) -> bool:
+        """Whether every slack clears ``tol``; the fixed-mean form also
+        needs the mean on its level."""
         mean_ok = (
-            abs(self.mean_slack) <= tol if mean_equality else self.mean_slack >= -tol
+            abs(self.mean_slack) <= tol
+            if form is Form.FIXED_MEAN
+            else self.mean_slack >= -tol
         )
         var_ok = self.variance_slack is None or self.variance_slack >= -tol
         return (

@@ -32,7 +32,8 @@ class NonnegQP:
     """Minimizer over the nonnegative orthant and its multipliers.
 
     ``primal * dual == 0`` holds exactly: each component is zero in at
-    least one of the two by construction.
+    least one of the two by construction.  Both have the shape of the
+    right-hand side; ``n_pivots`` counts the pivots of every row.
     """
 
     primal: np.ndarray
@@ -48,10 +49,14 @@ def nonneg_qp(m: np.ndarray, x: np.ndarray, max_pivots: int | None = None) -> No
     the unconstrained solve on the free set leaves the orthant, step to the
     boundary and retire the variables that hit zero.  The lowest-index rule
     rules out cycling, and a pivot budget guards the loop regardless.
+
+    ``x`` may be a stack of right-hand sides, one per row: ``m`` is checked
+    once, and each row is solved on its own with its own scale and pivot
+    budget, exactly as a call with that row alone would solve it.
     """
     m = np.asarray(m, dtype=float)
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
+    n = x.shape[-1]
     if m.shape != (n, n) or not np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max())):
         raise NotSPD(f"matrix shape {m.shape} is not symmetric of order {n}")
     try:
@@ -61,7 +66,21 @@ def nonneg_qp(m: np.ndarray, x: np.ndarray, max_pivots: int | None = None) -> No
     if max_pivots is None:
         max_pivots = 100 * n + 1000
 
-    scale = max(float(np.abs(x).max()), float(np.abs(m).max()), 1.0)
+    m_max = float(np.abs(m).max())
+    rows = x.reshape(-1, n)
+    primal, dual = np.empty_like(rows), np.empty_like(rows)
+    pivots = 0
+    for i, row in enumerate(rows):
+        primal[i], dual[i], row_pivots = _nonneg_row(m, m_max, row, max_pivots)
+        pivots += row_pivots
+    return NonnegQP(primal.reshape(x.shape), dual.reshape(x.shape), pivots)
+
+
+def _nonneg_row(
+    m: np.ndarray, m_max: float, x: np.ndarray, max_pivots: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    n = x.shape[0]
+    scale = max(float(np.abs(x).max()), m_max, 1.0)
     grad_tol = 1e-13 * scale
     free = np.zeros(n, dtype=bool)
     y = np.zeros(n)
@@ -98,7 +117,7 @@ def nonneg_qp(m: np.ndarray, x: np.ndarray, max_pivots: int | None = None) -> No
     dual = np.zeros(n)
     inactive = ~free
     dual[inactive] = (m @ primal - x)[inactive]
-    return NonnegQP(primal, dual, pivots)
+    return primal, dual, pivots
 
 
 @dataclass

@@ -229,6 +229,26 @@ class TestOracle:
         assert rc == 0
         assert payload["objective"]["mean"] == pytest.approx(4.0, abs=1e-8)
 
+    def test_dense_cap_is_a_numerical_limit(self, capsys, tmp_path):
+        # one root contract plus one per stage-1 node: 5001 coordinates, one
+        # past the dense cap; the file itself is valid
+        width = 5000
+        nodes = [{"id": 0, "parent": None, "depth": 0, "prob": 1.0}]
+        nodes += [{"id": v, "parent": 0, "depth": 1, "prob": 1.0 / width}
+                  for v in range(1, width + 1)]
+        nodes += [{"id": width + v, "parent": v, "depth": 2, "prob": 1.0}
+                  for v in range(1, width + 1)]
+        utilities = [{"issue_time": k, "contract": 0, "node": width + v, "value": 1.0}
+                     for k in (0, 1) for v in range(1, width + 1)]
+        data = {"N": 1, "T_bar": 1, "T": 1, "K0": 0.0, "nodes": nodes,
+                "utilities": utilities,
+                "constraints": {"c": [0.0, 0.0], "e": 1.0, "sigma2": None}}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        rc, _, err = run_main(capsys, "oracle", "--input", str(path))
+        assert rc == 3
+        assert "numerical failure: dense dimension 5001 exceeds cap 5000" in err
+
 
 class TestSpectrum:
     def test_membership_report(self, capsys, coin_file):
@@ -242,14 +262,26 @@ class TestSpectrum:
 
 
 class TestCompare:
-    def test_routes_agree_on_the_coin(self, capsys, coin_file):
+    # 80 cycles per floor keep the max-mean search fast; they leave the
+    # last floor's ladder short of the KKT tolerance but near the oracle
+    @pytest.mark.parametrize(
+        "form, extra, converged",
+        [
+            ("min-variance", ("--max-iter", "300"), True),
+            ("fixed-mean", ("--max-iter", "300"), True),
+            ("max-mean", ("--sigma2", "1.06", "--max-iter", "80"), False),
+        ],
+        ids=["min-variance", "fixed-mean", "max-mean"],
+    )
+    def test_routes_agree_on_the_coin(self, capsys, coin_file, form, extra, converged):
         rc, out, _ = run_main(
-            capsys, "compare", "--input", coin_file, "--max-iter", "300"
+            capsys, "compare", "--input", coin_file, "--form", form, *extra
         )
         payload = parse_report(out)
         assert rc == 0
         assert payload["report_type"] == "compare"
-        assert payload["solve"]["converged"]
+        assert payload["form"] == form
+        assert payload["solve"]["converged"] is converged
         assert payload["deviation"]["plan_relative"] < 1e-5
         assert payload["deviation"]["variance"] < 1e-5
 
@@ -265,11 +297,16 @@ class TestProcessLevel:
         )
 
     def test_reports_are_byte_identical(self, coin_file):
-        args = ("solve", "--input", coin_file, "--max-iter", "40", "--seed", "7")
-        first = self.run(*args)
-        second = self.run(*args)
-        assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout
+        for command, *extra in (
+            ("solve", "--max-iter", "40", "--seed", "7"),
+            ("oracle", "--form", "max-mean", "--sigma2", "1.06"),
+            ("compare", "--form", "fixed-mean"),
+        ):
+            args = (command, "--input", coin_file, *extra)
+            first = self.run(*args)
+            second = self.run(*args)
+            assert first.returncode == second.returncode == 0
+            assert first.stdout == second.stdout
 
     def test_log_level_env(self, coin_file):
         args = ("solve", "--input", coin_file, "--max-iter", "2")

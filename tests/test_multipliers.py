@@ -55,7 +55,7 @@ class TestDeterministic:
 
     def test_mean_equality_matches_when_floor_binds(self, coin2):
         det = deterministic_solution(
-            coin2.tree, coin2.book, coin2.config, mean_equality=True
+            coin2.tree, coin2.book, coin2.config, form=Form.FIXED_MEAN
         )
         np.testing.assert_allclose(det.stage_positions, [12 / 13, 15 / 13], atol=1e-10)
         assert det.multipliers.mean == pytest.approx(30 / 13, abs=1e-9)
@@ -178,13 +178,17 @@ class TestFirstApproximation:
         det = deterministic_solution(coin2.tree, coin2.book, coin2.config, moments, gram.reps)
         calls = []
         solve = multipliers.nonneg_qp
-        monkeypatch.setattr(multipliers, "nonneg_qp", lambda *a: calls.append(1) or solve(*a))
+        monkeypatch.setattr(
+            multipliers, "nonneg_qp",
+            lambda *a: calls.append(np.atleast_2d(a[1]).shape[0]) or solve(*a),
+        )
         fa = first_approximation(
             coin2.tree, coin2.book, coin2.config, moments, det, gram
         )
-        # one Gram step, then one nodewise solve per node for both parts
+        # one Gram step, then one stacked solve per stage with one row per
+        # node, serving both parts
         tree = coin2.tree
-        assert len(calls) == 1 + sum(tree.n_nodes(k) for k in range(tree.last_issue + 1))
+        assert calls == [1] + [tree.n_nodes(k) for k in range(tree.last_issue + 1)]
         for k in range(tree.last_issue + 1):
             for sign, part in ((+1, fa.plan), (-1, fa.multipliers.bounds)):
                 alone = theta(
@@ -196,7 +200,7 @@ class TestFirstApproximation:
     def test_coin_mean_equality_shift(self, coin2):
         # the raw-form equality weight carries the floor on top of the
         # centered weight
-        fa = first_approximation(coin2.tree, coin2.book, coin2.config, mean_equality=True)
+        fa = first_approximation(coin2.tree, coin2.book, coin2.config, form=Form.FIXED_MEAN)
         np.testing.assert_allclose(fa.plan.stage(0).values, [[4 / 3]], atol=1e-8)
         assert fa.multipliers.mean == pytest.approx(1 / 3 + 3.0, abs=1e-8)
 
@@ -323,9 +327,13 @@ class TestIterate:
         with pytest.raises(InfeasibleDeterministic):
             iterate(coin2.tree, coin2.book, bad, max_iter=1)
 
+    def test_max_mean_form_is_left_to_the_floor_search(self, coin2):
+        with pytest.raises(InputError, match="iterate_max_mean"):
+            iterate(coin2.tree, coin2.book, coin2.config, form=Form.MAX_MEAN)
+
     def test_mean_equality_reaches_raw_multiplier(self, coin2):
         res = iterate(
-            coin2.tree, coin2.book, coin2.config, max_iter=300, mean_equality=True
+            coin2.tree, coin2.book, coin2.config, max_iter=300, form=Form.FIXED_MEAN
         )
         assert res.converged
         np.testing.assert_allclose(res.plan.stage(0).values, [[21 / 17]], atol=1e-6)

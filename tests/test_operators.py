@@ -168,9 +168,9 @@ class TestDenseMatrix:
         np.testing.assert_allclose(to_coords(coin2.tree, from_coords(coin2.tree, x)), x, atol=1e-14)
 
     def test_dimension_cap(self, coin2):
-        from reinsqp.errors import InputError
+        from reinsqp.errors import NumericalFailure
 
-        with pytest.raises(InputError):
+        with pytest.raises(NumericalFailure, match="exceeds cap 2"):
             dense_matrix(Kind.VARIANCE, coin2.tree, coin2.book, max_dim=2)
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reinsqp.errors import Infeasible, InputError
+from reinsqp.errors import Infeasible, InputError, NumericalFailure
 from reinsqp.operators import Kind, representers
 from reinsqp.oracle import (
     Form,
@@ -16,6 +16,7 @@ from reinsqp.oracle import (
     dense_spectrum,
     from_coords,
     max_attainable_mean,
+    max_mean_floor,
     to_coords,
 )
 from reinsqp.portfolio import evaluate_constraints
@@ -216,6 +217,66 @@ class TestMaxMean:
     def test_unknown_form_rejected(self, coin2):
         with pytest.raises(InputError):
             dense_qp(coin2.tree, coin2.book, coin2.config, "maximize-everything")
+
+
+def squared_variance(offset: float = 0.0):
+    """A synthetic floor solve: V(e) = offset + e^2, mean e; the result
+    names its floor so tests can see which solve came back."""
+    return lambda e: (f"solve at {e!r}", offset + e * e, e)
+
+
+#: rows and levels whose largest attainable mean is 5 (x <= 5, maximize x)
+CAPPED_ROWS, CAPPED_LEVELS = np.array([[-1.0], [1.0]]), np.array([-5.0, 0.0])
+#: rows and levels with no largest attainable mean
+OPEN_ROWS, OPEN_LEVELS = np.array([[0.0], [1.0]]), np.array([0.0, 0.0])
+
+
+class TestMaxMeanFloor:
+    def test_binding_cap_bisects_to_the_root(self):
+        out = max_mean_floor(squared_variance(), 9.0, CAPPED_ROWS, CAPPED_LEVELS)
+        assert out.cap_binding
+        assert out.mean_floor == pytest.approx(3.0, rel=1e-6)
+        assert out.result == f"solve at {out.mean_floor!r}"
+        # floor 0, the doubling bracket, then bisection from its midpoint
+        assert [e for e, _ in out.trace[:5]] == [0.0, 1.0, 2.0, 4.0, 2.0]
+        assert out.trace[-1] == (out.mean_floor, out.mean_floor**2)
+
+    def test_slack_cap_returns_the_largest_attainable_floor(self):
+        out = max_mean_floor(squared_variance(), 100.0, CAPPED_ROWS, CAPPED_LEVELS)
+        assert not out.cap_binding
+        assert out.mean_floor == pytest.approx(5.0, rel=1e-9)
+        assert [e for e, _ in out.trace[:4]] == [0.0, 1.0, 2.0, 4.0]
+        assert out.trace[-1][1] == pytest.approx(25.0, rel=1e-9)
+
+    def test_cap_below_floor_zero_is_infeasible(self):
+        with pytest.raises(Infeasible, match="minimal attainable variance 1"):
+            max_mean_floor(squared_variance(1.0), 0.5, CAPPED_ROWS, CAPPED_LEVELS)
+
+    def test_floor_zero_check_runs_before_the_verdict(self):
+        seen = []
+
+        def check(result, variance):
+            seen.append((result, variance))
+            raise NumericalFailure("floor 0 not trusted")
+
+        with pytest.raises(NumericalFailure, match="not trusted"):
+            max_mean_floor(
+                squared_variance(1.0), 0.5, CAPPED_ROWS, CAPPED_LEVELS, check_floor0=check
+            )
+        assert seen == [("solve at 0.0", 1.0)]
+        # a feasible floor 0 never consults the check
+        out = max_mean_floor(
+            squared_variance(), 9.0, CAPPED_ROWS, CAPPED_LEVELS, check_floor0=check
+        )
+        assert out.cap_binding and len(seen) == 1
+
+    def test_unbounded_mean_takes_the_doubling_bracket(self):
+        assert max_attainable_mean(OPEN_ROWS, OPEN_LEVELS) is None
+        out = max_mean_floor(squared_variance(), 1e6, OPEN_ROWS, OPEN_LEVELS)
+        assert out.cap_binding
+        assert out.mean_floor == pytest.approx(1000.0, rel=1e-6)
+        floors = [e for e, _ in out.trace]
+        assert floors[:12] == [0.0] + [2.0**j for j in range(11)]
 
 
 class TestMeanRange:

@@ -5,6 +5,7 @@ import pytest
 
 from reinsqp.portfolio import (
     ConstraintConfig,
+    Form,
     evaluate_constraints,
     final_utility_rv,
     mean_final,
@@ -108,11 +109,11 @@ class TestConstraints:
 
     def test_mean_equality_mode(self, coin2):
         report = evaluate_constraints(coin2.tree, coin2.book, coin2.config, unit_plan(coin2.tree))
-        assert report.feasible(mean_equality=True)
+        assert report.feasible(form=Form.FIXED_MEAN)
         plan = 2.0 * unit_plan(coin2.tree)
         report = evaluate_constraints(coin2.tree, coin2.book, coin2.config, plan)
         assert report.feasible()
-        assert not report.feasible(mean_equality=True)
+        assert not report.feasible(form=Form.FIXED_MEAN)
 
     def test_roe_rate_charges_equity(self, coin2):
         import dataclasses

@@ -95,6 +95,27 @@ class TestNonnegQP:
         with pytest.raises(MaxPivotsExceeded):
             nonneg_qp(random_spd(rng, 5), np.ones(5), max_pivots=0)
 
+    def test_stacked_rows_equal_single_calls_bitwise(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n, rows = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            m = random_spd(rng, n)
+            # rows of very different sizes, so each needs its own scale
+            x = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-6, 7, (rows, 1))
+            out = nonneg_qp(m, x)
+            alone = [nonneg_qp(m, row) for row in x]
+            assert out.primal.shape == out.dual.shape == x.shape
+            assert np.array_equal(out.primal, np.array([a.primal for a in alone]))
+            assert np.array_equal(out.dual, np.array([a.dual for a in alone]))
+            assert out.n_pivots == sum(a.n_pivots for a in alone)
+
+    def test_stacked_rows_still_check_the_matrix(self):
+        x = np.ones((3, 2))
+        with pytest.raises(NotSPD):
+            nonneg_qp(np.array([[1.0, 2.0], [0.0, 1.0]]), x)
+        with pytest.raises(NotSPD):
+            nonneg_qp(np.array([[1.0, 0.0], [0.0, -1.0]]), x)
+
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000), n=st.integers(1, 6))

@@ -41,7 +41,7 @@ from .multipliers import (
     kkt_verify,
     l_gram,
 )
-from .operators import Kind, apply, block_apply, dense_matrix, representers
+from .operators import Kind, apply, dense_matrix, representers
 from .oracle import OracleSolution, assemble, dense_qp, dense_spectrum
 from .portfolio import ConstraintConfig, ConstraintReport, Form, evaluate_constraints
 from .scenario import Scenario, load, parse, validate_data
@@ -87,7 +87,6 @@ __all__ = [
     "apply",
     "assemble",
     "assemble_solution",
-    "block_apply",
     "check_hypotheses",
     "compute_moments",
     "dense_matrix",

@@ -31,7 +31,7 @@ from .multipliers import MultiplierSet, iterate, iterate_max_mean, kkt_verify
 from .operators import Kind, dense_matrix, representers
 from .oracle import dense_qp
 from .portfolio import Form, evaluate_constraints
-from .scenario import load, validate_data
+from .scenario import check, load, read
 from .tree import PortfolioProcess, ScenarioTree
 
 log = logging.getLogger("reinsqp.cli")
@@ -117,14 +117,7 @@ def _self_check(tree, book, config, seed: int) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.input) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.input} is not valid JSON: {exc}") from exc
-    problems = validate_data(data)
+    problems, scenario = check(read(args.input))
     payload = {
         "report_type": "validate",
         "input": args.input,
@@ -134,8 +127,7 @@ def cmd_validate(args) -> int:
     }
     rc = 0 if not problems else 1
     if not problems:
-        scenario_tree, book, _ = _load_scenario(args)
-        hyp = check_hypotheses(scenario_tree, book)
+        hyp = check_hypotheses(scenario.tree, scenario.book)
         payload["hypotheses"] = hyp.as_dict()
         if args.strict and not hyp.all_ok:
             rc = 1

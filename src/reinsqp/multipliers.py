@@ -572,8 +572,10 @@ def iterate(
     Gram step.  The residual history is recorded as computed; any material
     increase, or a residual that stops being finite, raises the
     non-monotone flag but does not stop the loop, and no convergence is
-    claimed beyond what the final report shows.  The max-mean form is
-    solved by :func:`iterate_max_mean`, which runs this at each floor.
+    claimed beyond what the final report shows.  A plan above a variance
+    cap raises :class:`Infeasible` if the ladder converged, else
+    :class:`NumericalFailure`.  The max-mean form is solved by
+    :func:`iterate_max_mean`, which runs this uncapped at each floor.
     """
     if form is Form.MAX_MEAN:
         raise InputError("the max-mean form is solved by iterate_max_mean")
@@ -598,7 +600,7 @@ def iterate(
         grew = history[-1] > history[-2] * (1.0 + RESIDUAL_JITTER)
         if grew or not np.isfinite(history[-1]):
             non_monotone = True
-    return IterationResult(
+    res = IterationResult(
         plan=plan,
         relaxed_plan=relaxed,
         multipliers=mults,
@@ -611,6 +613,26 @@ def iterate(
         fallbacks=gram.solver.fallbacks,
         deterministic=first.deterministic,
     )
+    cap = config.variance_cap
+    if cap is not None:
+        oracle.cap_verdict(res, variance_final(tree, book, plan), cap,
+                           check=_require_converged(config.mean_floor, cap))
+    return res
+
+
+def _require_converged(floor: float, cap: float):
+    """The ladder's check for :func:`oracle.cap_verdict`: only a converged
+    plan shows what variance is attainable."""
+
+    def check(res: IterationResult, var: float) -> None:
+        if not res.converged:
+            raise NumericalFailure(
+                f"ladder at mean floor {floor:.6g} did not converge (KKT total "
+                f"{res.report.total:.6g} after {res.iterations} cycles), "
+                f"so its variance {var:.6g} does not bound the cap {cap:.6g}"
+            )
+
+    return check
 
 
 def iterate_max_mean(
@@ -641,14 +663,7 @@ def iterate_max_mean(
         res = iterate(tree, book, cfg, max_iter=max_iter, tol=tol, moments=moments)
         return res, variance_final(tree, book, res.plan), mean_final(tree, book, res.plan)
 
-    def check_floor0(res: IterationResult, var: float) -> None:
-        # only a converged plan shows what variance is attainable
-        if not res.converged:
-            raise NumericalFailure(
-                f"ladder at mean floor 0 did not converge (KKT total "
-                f"{res.report.total:.6g} after {res.iterations} cycles), "
-                f"so its variance {var:.6g} does not bound the cap {cap:.6g}"
-            )
-
     rows, levels = oracle.constraint_rows(tree, book, config)
-    return oracle.max_mean_floor(solve_at, cap, rows, levels, check_floor0=check_floor0)
+    return oracle.max_mean_floor(
+        solve_at, cap, rows, levels, check_floor0=_require_converged(0.0, cap)
+    )

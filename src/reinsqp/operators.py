@@ -78,20 +78,6 @@ def apply(
     return PortfolioProcess(tree, [AdaptedVariable(k, v) for k, v in enumerate(stages)])
 
 
-def block_apply(
-    kind: Kind,
-    tree: ScenarioTree,
-    book: ContractBook,
-    k: int,
-    l: int,
-    x: AdaptedVariable,
-) -> AdaptedVariable:
-    """Apply the (k, l) block: the contribution of stage-l positions ``x``
-    to the operator image at stage k."""
-    scalar = leaf_scalar(kind, tree, book, l, x)
-    return AdaptedVariable(k, images(tree, book, [(k, scalar)])[0])
-
-
 @dataclass
 class Representers:
     """Mean and profitability representer processes.

@@ -217,6 +217,24 @@ def max_attainable_mean(rows: np.ndarray, levels: np.ndarray) -> float | None:
     return float(-res.fun)
 
 
+def cap_verdict(
+    result: Any,
+    variance: float,
+    cap: float | None,
+    bisect_tol: float = BISECTION_TOL,
+    check: Callable[[Any, float], None] | None = None,
+) -> None:
+    """Raise when ``variance``, the least that ``result`` attained, exceeds
+    a cap beyond the relative tolerance: ``check(result, variance)`` may
+    raise a more specific error first, else the capped problem is infeasible."""
+    if cap is not None and variance > cap * (1 + bisect_tol):
+        if check is not None:
+            check(result, variance)
+        raise Infeasible(
+            f"minimal attainable variance {variance:.6g} exceeds cap {cap:.6g}"
+        )
+
+
 @dataclass
 class MaxMeanResult:
     """Largest mean floor whose solve respects the variance cap, the solve
@@ -241,13 +259,12 @@ def max_mean_floor(
 
     ``solve_at(floor)`` solves the min-variance form at that floor and
     returns ``(result, variance, mean)``.  The search relies on the optimal
-    variance being nondecreasing in the floor.  A floor-0 variance above
-    the cap is infeasible; ``check_floor0(result, variance)`` runs first
-    and may raise a more specific error.  From floor 0 the floor doubles
-    until the variance reaches the cap or the floor reaches the largest
-    attainable mean of ``rows`` and ``levels``; a cap still slack there
-    returns that floor with ``cap_binding=False``.  Otherwise the floor is
-    bisected until the variance meets the cap in relative terms.
+    variance being nondecreasing in the floor.  The floor-0 solve gets
+    :func:`cap_verdict` with ``check_floor0``.  From floor 0 the floor
+    doubles until the variance reaches the cap or the floor reaches the
+    largest attainable mean of ``rows`` and ``levels``; a cap still slack
+    there returns that floor with ``cap_binding=False``.  Otherwise the
+    floor is bisected until the variance meets the cap in relative terms.
     """
     trace: list[tuple[float, float]] = []
 
@@ -258,12 +275,7 @@ def max_mean_floor(
 
     lo = 0.0
     res_lo, var_lo, mean_lo = visit(lo)
-    if var_lo > cap * (1 + bisect_tol):
-        if check_floor0 is not None:
-            check_floor0(res_lo, var_lo)
-        raise Infeasible(
-            f"minimal attainable variance {var_lo:.6g} exceeds cap {cap:.6g}"
-        )
+    cap_verdict(res_lo, var_lo, cap, bisect_tol, check_floor0)
     e_max = max_attainable_mean(rows, levels)
     hi = max(1.0, 2 * abs(mean_lo))
     for _ in range(80):
@@ -303,7 +315,8 @@ def dense_qp(
     """Solve one of the three problem forms by dense quadratic programming.
 
     The max-mean form runs :func:`max_mean_floor` on the min-variance
-    form; the returned solution carries the floors it visited.
+    form; the returned solution carries the floors it visited.  The other
+    forms solve once, and a cap on them gets :func:`cap_verdict`.
     """
     try:
         form = Form(form)
@@ -312,8 +325,7 @@ def dense_qp(
     problem = assemble(tree, book, config, form.kind)
     if form is not Form.MAX_MEAN:
         sol = _qp_once(problem, config.mean_floor, form)
-        if form is Form.MIN_VARIANCE and config.variance_cap is not None:
-            sol.cap_binding = sol.variance_value >= config.variance_cap * (1 - bisect_tol)
+        cap_verdict(sol, sol.variance_value, config.variance_cap, bisect_tol)
         return sol
 
     cap = config.variance_cap

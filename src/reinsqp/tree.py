@@ -17,7 +17,7 @@ whole stack of them costs one sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,28 +39,19 @@ class NodeSpec:
     prob: float
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of structural validation; ``problems`` is empty when ok."""
-
-    ok: bool
-    problems: list[str] = field(default_factory=list)
-
-    def raise_if_failed(self) -> None:
-        if not self.ok:
-            raise InputError("invalid scenario tree: " + "; ".join(self.problems))
-
-
 def validate_structure(
     n_contracts: int,
     last_issue: int,
     settlement_lag: int,
     nodes: list[NodeSpec],
-) -> ValidationReport:
-    """Check a raw node list against the tree invariants.
+) -> list[str]:
+    """Every violation of the tree invariants in a raw node list; an empty
+    list means :class:`ScenarioTree` can be built from it.
 
     All violations are collected and reported together rather than failing on
-    the first one, so a malformed file produces one complete diagnosis.
+    the first one, so a malformed file produces one complete diagnosis.  A
+    repeated node id ends the checks there, since the later ones look nodes
+    up by id.
     """
     problems: list[str] = []
     if n_contracts < 1:
@@ -71,11 +62,10 @@ def validate_structure(
         problems.append(f"settlement_lag must be >= 1, got {settlement_lag}")
     horizon = last_issue + settlement_lag
 
-    ids = [n.id for n in nodes]
-    if len(set(ids)) != len(ids):
-        problems.append("node ids are not unique")
-        return ValidationReport(False, problems)
     by_id = {n.id: n for n in nodes}
+    if len(by_id) != len(nodes):
+        problems.append("node ids are not unique")
+        return problems
 
     roots = [n for n in nodes if n.parent is None]
     if len(roots) != 1:
@@ -121,7 +111,7 @@ def validate_structure(
         elif kids:
             problems.append(f"terminal node {n.id} at depth {n.depth} has children")
 
-    return ValidationReport(not problems, problems)
+    return problems
 
 
 @dataclass(frozen=True)
@@ -143,8 +133,9 @@ class AdaptedVariable:
 class ScenarioTree:
     """A validated finite scenario tree with fast adapted-variable calculus.
 
-    Use :meth:`build` to construct one from raw node specs; the constructor
-    assumes they already passed :func:`validate_structure`.
+    Use :meth:`build` to construct one from raw node specs, which raises on
+    any problem :func:`validate_structure` finds; the constructor assumes
+    the specs have none.
     """
 
     def __init__(
@@ -158,7 +149,6 @@ class ScenarioTree:
         self.last_issue = last_issue
         self.settlement_lag = settlement_lag
         self.horizon = last_issue + settlement_lag
-        self._specs = list(nodes)
 
         # canonical order: depth-major, then ascending node id
         self.node_ids: list[np.ndarray] = []
@@ -192,14 +182,10 @@ class ScenarioTree:
         settlement_lag: int,
         nodes: list[NodeSpec],
     ) -> "ScenarioTree":
-        validate_structure(n_contracts, last_issue, settlement_lag, nodes).raise_if_failed()
+        problems = validate_structure(n_contracts, last_issue, settlement_lag, nodes)
+        if problems:
+            raise InputError("invalid scenario tree: " + "; ".join(problems))
         return cls(n_contracts, last_issue, settlement_lag, nodes)
-
-    def validate(self) -> ValidationReport:
-        """Re-run structural validation on the stored node specs."""
-        return validate_structure(
-            self.n_contracts, self.last_issue, self.settlement_lag, self._specs
-        )
 
     # -- indexing -----------------------------------------------------------
 

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from reinsqp.cli import main
+from reinsqp.tree import ScenarioTree
 
 from conftest import coin2_data
 
@@ -59,6 +60,25 @@ class TestValidate:
         assert len(payload["problems"]) == 2
         assert payload["hypotheses"] is None
 
+    def test_reads_and_builds_once(self, capsys, coin_file, monkeypatch):
+        calls = {"json.load": 0, "ScenarioTree": 0}
+        load, init = json.load, ScenarioTree.__init__
+
+        def counting_load(*args, **kwargs):
+            calls["json.load"] += 1
+            return load(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            calls["ScenarioTree"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting_load)
+        monkeypatch.setattr(ScenarioTree, "__init__", counting_init)
+        rc, out, _ = run_main(capsys, "validate", "--input", coin_file)
+        assert rc == 0
+        assert parse_report(out)["hypotheses"] is not None
+        assert calls == {"json.load": 1, "ScenarioTree": 1}
+
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run_main(
             capsys, "validate", "--input", str(tmp_path / "absent.json")
@@ -81,6 +101,41 @@ class TestValidate:
         assert not payload["hypotheses"]["h1_ok"]
         rc, out, _ = run_main(capsys, "validate", "--strict", "--input", str(path))
         assert rc == 1
+
+
+class TestVarianceCap:
+    # the minimal variance at the coin's floor 3 is 18/17 ~ 1.0588
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle",),
+            ("oracle", "--form", "fixed-mean"),
+            ("compare",),
+            ("solve", "--max-iter", "300"),
+            ("solve", "--form", "fixed-mean", "--max-iter", "300"),
+        ],
+        ids=["oracle", "oracle-fixed-mean", "compare", "solve", "solve-fixed-mean"],
+    )
+    def test_cap_below_the_minimal_variance_is_infeasible(self, capsys, coin_file, argv):
+        rc, out, err = run_main(capsys, *argv, "--input", coin_file, "--sigma2", "0.5")
+        assert rc == 2
+        assert out == ""
+        assert err == "infeasible: minimal attainable variance 1.05882 exceeds cap 0.5\n"
+
+    def test_unconverged_ladder_does_not_decide_the_cap(self, capsys, coin_file):
+        rc, _, err = run_main(capsys, "solve", "--input", coin_file, "--sigma2", "0.5")
+        assert rc == 3
+        assert err == (
+            "numerical failure: ladder at mean floor 3 did not converge (KKT total "
+            "0.00877073 after 25 cycles), so its variance 1.05268 does not bound "
+            "the cap 0.5\n"
+        )
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "compare"])
+    def test_cap_above_the_minimal_variance_passes(self, capsys, coin_file, command):
+        rc, out, _ = run_main(capsys, command, "--input", coin_file, "--sigma2", "1.06")
+        assert rc == 0
+        assert parse_report(out)["report_type"] == command
 
 
 class TestSolve:
@@ -307,6 +362,18 @@ class TestProcessLevel:
             second = self.run(*args)
             assert first.returncode == second.returncode == 0
             assert first.stdout == second.stdout
+
+    def test_huge_integer_is_a_problem_not_a_crash(self, tmp_path):
+        data = coin2_data()
+        data["utilities"][0]["value"] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        res = self.run("validate", "--input", str(path))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert json.loads(res.stdout)["problems"] == [
+            "utilities[0].value must be a finite number"
+        ]
 
     def test_log_level_env(self, coin_file):
         args = ("solve", "--input", coin_file, "--max-iter", "2")

@@ -8,6 +8,7 @@ import pytest
 
 from reinsqp.errors import InputError
 from reinsqp.scenario import load, parse, validate_data
+from reinsqp.tree import ScenarioTree
 
 from conftest import coin2_data
 
@@ -91,6 +92,28 @@ class TestValidateData:
         assert len(problems) == 1
         assert "duplicate" in problems[0]
 
+    @pytest.mark.parametrize("first,repeat", [(0.0, 1.0), (1.0, 0.0)])
+    def test_duplicate_of_a_zero_entry(self, first, repeat):
+        # a repeat is found by the listing, not by a nonzero stored value
+        data = coin2_data()
+        data["utilities"][0]["value"] = first
+        data["utilities"].append(dict(data["utilities"][0], value=repeat))
+        u = data["utilities"][0]
+        assert validate_data(data) == [
+            f"utilities[{len(data['utilities']) - 1}]: duplicate entry for "
+            f"issue_time {u['issue_time']}, contract {u['contract']}, node {u['node']}"
+        ]
+
+    def test_integers_past_the_float_range(self):
+        data = coin2_data()
+        data["K0"] = 10**20
+        assert validate_data(data) == []
+        assert parse(data).config.initial_equity == 1e20
+        data["utilities"][0]["value"] = 10**400
+        assert validate_data(data) == ["utilities[0].value must be a finite number"]
+        data["K0"] = 10**400
+        assert validate_data(data) == [f"K0 must be a nonnegative number, got {10**400!r}"]
+
     def test_issue_time_outside_range(self):
         data = coin2_data()
         data["utilities"][0]["issue_time"] = 2
@@ -155,6 +178,38 @@ class TestParse:
         data = coin2_data()
         data["constraints"]["sigma2"] = 2.5
         assert parse(data).config.variance_cap == 2.5
+
+
+class _CountingList(list):
+    def __init__(self, items):
+        super().__init__(items)
+        self.walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+class TestOneWalk:
+    def test_parse_walks_the_utilities_once(self):
+        data = coin2_data()
+        data["utilities"] = _CountingList(data["utilities"])
+        parse(data)
+        assert data["utilities"].walks == 1
+
+    def test_load_builds_one_tree(self, tmp_path, monkeypatch):
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(coin2_data()))
+        built = []
+        init = ScenarioTree.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScenarioTree, "__init__", counting_init)
+        sc = load(path)
+        assert built == [sc.tree]
 
 
 class TestLoad:

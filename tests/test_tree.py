@@ -18,8 +18,8 @@ from reinsqp.tree import (
 from conftest import random_instance
 
 
-def two_period_coin() -> ScenarioTree:
-    nodes = [
+def two_period_coin_nodes() -> list[NodeSpec]:
+    return [
         NodeSpec(0, None, 0, 1.0),
         NodeSpec(1, 0, 1, 0.5),
         NodeSpec(2, 0, 1, 0.5),
@@ -28,7 +28,12 @@ def two_period_coin() -> ScenarioTree:
         NodeSpec(5, 2, 2, 0.5),
         NodeSpec(6, 2, 2, 0.5),
     ]
-    return ScenarioTree(n_contracts=1, last_issue=1, settlement_lag=1, nodes=nodes)
+
+
+def two_period_coin() -> ScenarioTree:
+    return ScenarioTree(
+        n_contracts=1, last_issue=1, settlement_lag=1, nodes=two_period_coin_nodes()
+    )
 
 
 class TestStructure:
@@ -59,9 +64,7 @@ class TestStructure:
 
 class TestValidation:
     def test_clean_tree_passes(self):
-        report = two_period_coin().validate()
-        assert report.ok
-        assert report.problems == []
+        assert validate_structure(1, 1, 1, two_period_coin_nodes()) == []
 
     def test_all_problems_collected(self):
         # three independent defects: bad root prob, orphan parent, prob sum
@@ -70,15 +73,13 @@ class TestValidation:
             NodeSpec(1, 0, 1, 0.6),
             NodeSpec(2, 9, 1, 0.6),
         ]
-        report = validate_structure(1, 0, 1, nodes)
-        assert not report.ok
-        assert len(report.problems) >= 3
+        problems = validate_structure(1, 0, 1, nodes)
+        assert len(problems) >= 3
 
     def test_duplicate_ids_short_circuit(self):
         nodes = [NodeSpec(0, None, 0, 1.0), NodeSpec(0, None, 0, 1.0)]
-        report = validate_structure(1, 0, 0, nodes)
-        assert not report.ok
-        assert any("not unique" in p for p in report.problems)
+        problems = validate_structure(1, 0, 0, nodes)
+        assert problems == ["settlement_lag must be >= 1, got 0", "node ids are not unique"]
 
     def test_childless_interior_node(self):
         nodes = [
@@ -87,9 +88,8 @@ class TestValidation:
             NodeSpec(2, 1, 2, 1.0),
         ]
         # horizon 3 but the deepest node sits at depth 2
-        report = validate_structure(1, 1, 2, nodes)
-        assert not report.ok
-        assert any("no children" in p for p in report.problems)
+        problems = validate_structure(1, 1, 2, nodes)
+        assert any("no children" in p for p in problems)
 
     def test_sibling_probs_must_sum_to_one(self):
         nodes = [
@@ -97,13 +97,17 @@ class TestValidation:
             NodeSpec(1, 0, 1, 0.5),
             NodeSpec(2, 0, 1, 0.4),
         ]
-        report = validate_structure(1, 0, 1, nodes)
-        assert not report.ok
+        problems = validate_structure(1, 0, 1, nodes)
+        assert problems == ["children of node 0 have prob sum 0.9, expected 1"]
 
-    def test_raise_if_failed(self):
+    def test_build_raises_every_problem(self):
         nodes = [NodeSpec(0, None, 0, 0.5)]
-        with pytest.raises(InputError):
-            validate_structure(1, 0, 0, nodes).raise_if_failed()
+        with pytest.raises(InputError) as err:
+            ScenarioTree.build(1, 0, 0, nodes)
+        assert str(err.value) == (
+            "invalid scenario tree: settlement_lag must be >= 1, got 0; "
+            "root node 0 has prob 0.5, expected 1"
+        )
 
 
 class TestAdaptedCalculus:

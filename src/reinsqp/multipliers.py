@@ -50,7 +50,7 @@ from .portfolio import (
     mean_final,
     variance_final,
 )
-from .qp import nonneg_qp, solve_qp
+from .qp import nonneg_qp
 from .tree import AdaptedVariable, PortfolioProcess, ScenarioTree, inner_product, norm
 
 #: default optimality tolerance
@@ -228,66 +228,34 @@ def deterministic_solution(
     its expectation, making positions and multipliers constant per stage.
 
     The complementarity system is exactly the raw-form quadratic program
-    over stage blocks, solved with the shared active-set engine.
+    over stage blocks, solved by the oracle's :func:`~reinsqp.oracle.form_qp`.
     """
     if moments is None:
         moments = compute_moments(tree, book)
     if reps is None:
         reps = representers(tree, book, config)
-    kmax = tree.last_issue
+    stages = range(tree.last_issue + 1)
     nc = tree.n_contracts
-    dim = (kmax + 1) * nc
-    g = np.zeros((dim, dim))
-    for k in range(kmax + 1):
+    g = np.zeros((len(stages) * nc,) * 2)
+    for k in stages:
         g[k * nc : (k + 1) * nc, k * nc : (k + 1) * nc] = moments.second_moment[k]
-
-    rows = np.array(
-        [
-            np.concatenate(
-                [np.asarray(tree.expectation(row.stage(k))) for k in range(kmax + 1)]
-            )
-            for row in reps.all_rows()
-        ]
-    )
-    levels = config.levels(tree)
-    n_rows = rows.shape[0]
-
-    pinned = form is Form.FIXED_MEAN
-    if pinned:
-        a_eq, b_eq = rows[-1:], levels[-1:]
-        a_in = np.vstack([rows[:-1], np.eye(dim)])
-        b_in = np.concatenate([levels[:-1], np.zeros(dim)])
-    else:
-        a_eq, b_eq = None, None
-        a_in = np.vstack([rows, np.eye(dim)])
-        b_in = np.concatenate([levels, np.zeros(dim)])
+    rows = np.array([np.concatenate([tree.expectation(r.stage(k)) for k in stages])
+                     for r in reps.all_rows()])
     try:
-        res = solve_qp(g, np.zeros(dim), a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in)
+        res, roe, mean_mult = oracle.form_qp(g, rows, config.levels(tree), form)
     except Infeasible as exc:
         raise InfeasibleDeterministic(str(exc)) from exc
 
-    if pinned:
-        roe = res.ineq_multipliers[: n_rows - 1]
-        mean_mult = float(res.eq_multipliers[0])
-        nu_flat = res.ineq_multipliers[n_rows - 1 :]
-    else:
-        roe = res.ineq_multipliers[: n_rows - 1]
-        mean_mult = float(res.ineq_multipliers[n_rows - 1])
-        nu_flat = res.ineq_multipliers[n_rows:]
-
     def broadcast(flat: np.ndarray) -> PortfolioProcess:
-        arrays = []
-        for k in range(kmax + 1):
-            block = flat[k * nc : (k + 1) * nc]
-            arrays.append(np.tile(block, (tree.n_nodes(k), 1)))
-        return PortfolioProcess.from_arrays(tree, arrays)
+        blocks = flat.reshape(len(stages), nc)
+        return PortfolioProcess.from_arrays(
+            tree, [np.tile(blocks[k], (tree.n_nodes(k), 1)) for k in stages]
+        )
 
     return DeterministicSolution(
         plan=broadcast(res.x),
         stage_positions=res.x,
-        multipliers=MultiplierSet(
-            np.asarray(roe, dtype=float), mean_mult, broadcast(nu_flat)
-        ),
+        multipliers=MultiplierSet(roe, mean_mult, broadcast(res.bound_multipliers)),
     )
 
 

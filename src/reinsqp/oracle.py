@@ -7,10 +7,12 @@ linear functionals to plain rows, and the underwriting problems to dense
 quadratic programs.  The Gram matrices do not touch the structured
 operators or their elimination.  The two routes do share the tree, the
 contract book, the representer processes (flattened here into constraint
-rows), the active-set engine of ``qp`` and, for the max-mean form, the
+rows), the active-set engine of ``qp`` through :func:`form_qp` (the
+ladder's deterministic rung calls it too) and, for the max-mean form, the
 floor search :func:`max_mean_floor`.  Agreement between the routes is
 therefore evidence about the structured factorization and the multiplier
-ladder, not about those shared parts.
+ladder, not about those shared parts.  Each dense answer passes its own
+optimality check on the Gram matrix and rows before it is returned.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ from .operators import (
     representers,
 )
 from .portfolio import ConstraintConfig, Form
-from .qp import phase1_point, solve_qp
+from .qp import QPResult, solve_qp
 from .tree import PortfolioProcess, ScenarioTree
 
 #: relative residual required of a dense linear solve
 DENSE_RESIDUAL_TOL = 1e-12
+#: largest violation of its optimality system a dense QP answer may have
+CERTIFY_TOL = 1e-8
 #: relative gap at which the variance-cap bisection stops
 BISECTION_TOL = 1e-6
 
@@ -139,49 +143,56 @@ class OracleSolution:
     cap_binding: bool | None = None
 
 
+def form_qp(
+    g: np.ndarray, rows: np.ndarray, levels: np.ndarray, form: Form
+) -> tuple[QPResult, np.ndarray, float]:
+    """Minimize 0.5 x'gx over x >= 0 under the profitability rows and the
+    mean row (last in ``rows``, its floor last in ``levels``), an equality
+    in the fixed-mean form.  Returns the solve, the profitability
+    multipliers and the mean multiplier."""
+    c = np.zeros(g.shape[0])
+    if form is Form.FIXED_MEAN:
+        res = solve_qp(g, c, rows[-1:], levels[-1:], rows[:-1], levels[:-1])
+        return res, res.ineq_multipliers, float(res.eq_multipliers[0])
+    res = solve_qp(g, c, a_in=rows, b_in=levels)
+    return res, res.ineq_multipliers[:-1], float(res.ineq_multipliers[-1])
+
+
 def _qp_once(problem: DenseProblem, mean_floor: float, form: Form) -> OracleSolution:
-    d = problem.layout.dim
-    n_roe = problem.rows.shape[0] - 1
-    roe_rows = problem.rows[:-1]
-    mean_row = problem.rows[-1]
+    """Solve ``form`` at ``mean_floor``; an answer that misses the dense
+    optimality system by more than ``CERTIFY_TOL`` raises NumericalFailure."""
     levels = np.append(problem.levels[:-1], mean_floor)
-    bounds_rows = np.eye(d)
+    res, roe_mults, mean_mult = form_qp(problem.gram, problem.rows, levels, form)
+    x, nu, lam = res.x, res.bound_multipliers, np.append(roe_mults, mean_mult)
     pinned = form is Form.FIXED_MEAN
-    if pinned:
-        a_eq, b_eq = mean_row[None, :], np.array([mean_floor])
-        a_in = np.vstack([roe_rows, bounds_rows])
-        b_in = np.concatenate([levels[:-1], np.zeros(d)])
-    else:
-        a_eq, b_eq = None, None
-        a_in = np.vstack([roe_rows, mean_row[None, :], bounds_rows])
-        b_in = np.concatenate([levels, np.zeros(d)])
-    x0 = phase1_point(a_eq, b_eq, a_in, b_in, d, nonneg=False)
-    res = solve_qp(problem.gram, np.zeros(d), a_eq, b_eq, a_in, b_in, x0=x0)
+    force = problem.rows.T @ lam + nu
+    slack = problem.rows @ x - levels
+    mean_slack = -abs(slack[-1]) if pinned else slack[-1]
+    violations = {
+        "stationarity": np.abs(problem.gram @ x - force).max() / (1 + np.abs(force).max()),
+        "feasibility": -min(slack[:-1].min(initial=0.0), mean_slack, x.min()),
+        "complementarity": np.max(
+            np.abs(np.append(lam * slack, nu * x)) / (1 + np.abs(np.append(lam, nu)))
+        ),
+        "sign": -np.append(lam[:-1] if pinned else lam, nu).min(initial=0.0),
+    }
+    for name, value in violations.items():
+        if not value <= CERTIFY_TOL:
+            raise NumericalFailure(f"dense QP answer fails its {name} check: {value:.3e}")
 
-    if pinned:
-        mean_mult = float(res.eq_multipliers[0])
-        roe_mults = res.ineq_multipliers[:n_roe]
-        nu = res.ineq_multipliers[n_roe:]
-    else:
-        roe_mults = res.ineq_multipliers[:n_roe]
-        mean_mult = float(res.ineq_multipliers[n_roe])
-        nu = res.ineq_multipliers[n_roe + 1 :]
-
-    x = res.x
-    mean_val = float(mean_row @ x)
+    mean_val = float(problem.rows[-1] @ x)
     quad = float(x @ problem.gram @ x)
     variance = quad - mean_val**2 if problem.kind is Kind.SECOND_MOMENT else quad
-    objective = quad
     return OracleSolution(
         form=form,
         plan=from_coords(problem.tree, x),
         coords=x,
-        roe_multipliers=np.asarray(roe_mults, dtype=float),
+        roe_multipliers=roe_mults,
         mean_multiplier=mean_mult,
         bound_multipliers=from_coords(problem.tree, nu),
         mean_value=mean_val,
         variance_value=variance,
-        objective=objective,
+        objective=quad,
         mean_floor=mean_floor,
         n_pivots=res.n_pivots,
     )

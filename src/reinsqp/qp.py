@@ -11,10 +11,10 @@ explicit active sets, lowest-index anti-cycling):
     Gram system.
 
 ``solve_qp``
-    A primal active-set method for dense quadratic programs with equality
-    and inequality rows, used by the brute-force oracle.  It needs a
-    feasible start; ``phase1_point`` finds one (or certifies infeasibility)
-    with a plain LP probe.
+    A primal active-set method for dense quadratic programs over the
+    nonnegative orthant with equality and inequality rows, used by the
+    brute-force oracle.  Its start is the vertex that ``phase1_point``
+    finds with a plain LP probe (or certifies infeasibility).
 """
 
 from __future__ import annotations
@@ -122,12 +122,12 @@ def _nonneg_row(
 
 @dataclass
 class QPResult:
-    """Solution of a dense QP with its multipliers, active rows marked."""
+    """Solution of a dense QP with the multipliers of its rows and bounds."""
 
     x: np.ndarray
     eq_multipliers: np.ndarray
     ineq_multipliers: np.ndarray
-    active: np.ndarray
+    bound_multipliers: np.ndarray
     n_pivots: int
 
 
@@ -137,9 +137,8 @@ def phase1_point(
     a_in: np.ndarray | None,
     b_in: np.ndarray | None,
     n: int,
-    nonneg: bool = True,
 ) -> np.ndarray:
-    """Find any point of {a_eq x = b_eq, a_in x >= b_in, (x >= 0)} or raise
+    """Find any point of {x >= 0, a_eq x = b_eq, a_in x >= b_in} or raise
     ``Infeasible``."""
     res = linprog(
         c=np.zeros(n),
@@ -147,7 +146,7 @@ def phase1_point(
         b_ub=None if b_in is None else -np.asarray(b_in, dtype=float),
         A_eq=None if a_eq is None else np.asarray(a_eq, dtype=float),
         b_eq=None if b_eq is None else np.asarray(b_eq, dtype=float),
-        bounds=(0, None) if nonneg else (None, None),
+        bounds=(0, None),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10},
     )
@@ -158,6 +157,12 @@ def phase1_point(
     return np.asarray(res.x, dtype=float)
 
 
+def _independent(rows: np.ndarray) -> bool:
+    """Whether the rows, each scaled to unit length, have full row rank."""
+    scaled = rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-300)
+    return np.linalg.matrix_rank(scaled) == rows.shape[0]
+
+
 def solve_qp(
     g: np.ndarray,
     c: np.ndarray,
@@ -165,17 +170,21 @@ def solve_qp(
     b_eq: np.ndarray | None = None,
     a_in: np.ndarray | None = None,
     b_in: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
-    max_pivots: int | None = None,
 ) -> QPResult:
-    """Minimize 0.5 x'gx + c'x subject to a_eq x = b_eq and a_in x >= b_in.
+    """Minimize 0.5 x'gx + c'x over x >= 0 subject to a_eq x = b_eq and
+    a_in x >= b_in.
 
-    Primal active set: starting from a feasible point, repeatedly solve the
-    equality-constrained subproblem on the working set, take the longest
-    feasible step toward its solution, add the blocking row, and once the
-    step vanishes drop the lowest-index row with a negative multiplier.
-    Nonnegativity bounds, when wanted, must be passed as identity rows of
-    ``a_in`` so their multipliers come back explicitly.
+    Primal active set with the bounds as variable fixing (Lawson and
+    Hanson's free-variable subproblem): the working set is the coordinates
+    fixed at zero, the equality rows and some active inequality rows, and
+    each pivot solves on the free coordinates only.  A blocking row joins,
+    a blocking coordinate is fixed (rows win ties); once the step vanishes
+    the lowest-index negative row multiplier leaves, else the lowest-index
+    negative bound multiplier ``(gx + c - A'mu)_j`` frees its coordinate.
+    At the phase-1 vertex the zero coordinates are fixed (freed in index
+    order until the equality rows are independent on the rest), and active
+    rows join only while independent on the free coordinates, so no KKT
+    matrix is singular however degenerate the vertex.
     """
     g = np.asarray(g, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -185,62 +194,71 @@ def solve_qp(
     a_in = np.zeros((0, n)) if a_in is None else np.asarray(a_in, dtype=float)
     b_in = np.zeros(0) if b_in is None else np.asarray(b_in, dtype=float)
     m_eq, m_in = a_eq.shape[0], a_in.shape[0]
-    if x0 is None:
-        x0 = phase1_point(a_eq, b_eq, a_in, b_in, n, nonneg=False)
-    x = np.asarray(x0, dtype=float).copy()
-    if max_pivots is None:
-        max_pivots = 50 * (n + m_in) + 1000
+    x = phase1_point(a_eq, b_eq, a_in, b_in, n)
+    max_pivots = 50 * (2 * n + m_in) + 1000
+
+    fixed = x <= 1e-9
+    x[fixed] = 0.0
+    for j in np.flatnonzero(fixed):
+        if _independent(a_eq[:, ~fixed]):
+            break
+        fixed[j] = False
+    working = np.zeros(m_in, dtype=bool)
+    for i in np.flatnonzero(a_in @ x - b_in <= 1e-9 * (1.0 + np.abs(b_in))):
+        working[i] = True  # kept only if independent of the rows before it
+        working[i] = _independent(np.vstack([a_eq, a_in[working]])[:, ~fixed])
 
     scale = 1.0 + float(np.abs(g).max()) + float(np.abs(c).max())
-    resid = a_in @ x - b_in if m_in else np.zeros(0)
-    working = resid <= 1e-9 * (1.0 + np.abs(b_in))
     pivots = 0
     while True:
         pivots += 1
         if pivots > max_pivots:
             raise MaxPivotsExceeded(f"solve_qp exceeded {max_pivots} pivots")
         act_idx = np.flatnonzero(working)
-        rows = np.vstack([a_eq, a_in[act_idx]]) if m_eq + act_idx.size else np.zeros((0, n))
+        free = np.flatnonzero(~fixed)
+        rows = np.vstack([a_eq, a_in[act_idx]])
+        nf = free.size
         grad = g @ x + c
-        kkt = np.block(
-            [
-                [g, -rows.T],
-                [rows, np.zeros((rows.shape[0], rows.shape[0]))],
-            ]
-        )
-        rhs = np.concatenate([-grad, np.zeros(rows.shape[0])])
+        kkt = np.zeros((nf + rows.shape[0],) * 2)
+        kkt[:nf, :nf] = g[np.ix_(free, free)]
+        kkt[nf:, :nf] = rows[:, free]
+        kkt[:nf, nf:] = -kkt[nf:, :nf].T
+        rhs = np.zeros(kkt.shape[0])
+        rhs[:nf] = -grad[free]
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        d = sol[:n]
-        mults = sol[n:]
+        d = np.zeros(n)
+        d[free] = sol[:nf]
+        mults = sol[nf:]
         if float(np.abs(d).max(initial=0.0)) <= 1e-11 * (1.0 + float(np.abs(x).max())):
             ineq_mults = mults[m_eq:]
-            if ineq_mults.size == 0 or ineq_mults.min() >= -1e-9 * scale:
-                eq_m = mults[:m_eq]
-                full = np.zeros(m_in)
-                full[act_idx] = ineq_mults
-                return QPResult(x, eq_m, full, working.copy(), pivots)
-            # drop the lowest-index working row with a negative multiplier
+            nu = np.where(fixed, grad + g @ d - rows.T @ mults, 0.0)
+            # drop the lowest-index negative row multiplier, then bound one
             neg = np.flatnonzero(ineq_mults < -1e-9 * scale)
-            working[act_idx[neg[0]]] = False
-            continue
-        # longest step along d that keeps the inactive rows feasible
-        alpha = 1.0
-        blocking = -1
+            if neg.size:
+                working[act_idx[neg[0]]] = False
+                continue
+            neg = np.flatnonzero(nu < -1e-9 * scale)
+            if neg.size:
+                fixed[neg[0]] = False
+                continue
+            full = np.zeros(m_in)
+            full[act_idx] = ineq_mults
+            return QPResult(x, mults[:m_eq], full, nu, pivots)
+        # longest step along d keeping inactive rows, then free coordinates
         inact_idx = np.flatnonzero(~working)
-        if inact_idx.size:
-            ad = a_in[inact_idx] @ d
-            res_i = a_in[inact_idx] @ x - b_in[inact_idx]
-            decreasing = ad < -1e-13 * scale
-            if np.any(decreasing):
-                steps = np.where(decreasing, -res_i / np.where(decreasing, ad, -1.0), np.inf)
-                steps = np.maximum(steps, 0.0)
-                j = int(np.argmin(steps))
-                if steps[j] < alpha:
-                    alpha = float(steps[j])
-                    blocking = int(inact_idx[j])
-        x = x + alpha * d
-        if blocking >= 0:
-            working[blocking] = True
+        slack = np.concatenate([a_in[inact_idx] @ x - b_in[inact_idx], x[free]])
+        rate = np.concatenate([a_in[inact_idx] @ d, d[free]])
+        decreasing = rate < -1e-13 * scale
+        steps = np.where(decreasing, -slack / np.where(decreasing, rate, -1.0), np.inf)
+        steps = np.maximum(steps, 0.0)
+        j = int(np.argmin(np.append(1.0, steps)))  # 0 is the full step
+        x = x + (steps[j - 1] if j else 1.0) * d
+        if j > inact_idx.size:
+            coord = free[j - 1 - inact_idx.size]
+            fixed[coord] = True
+            x[coord] = 0.0
+        elif j:
+            working[inact_idx[j - 1]] = True

@@ -191,7 +191,7 @@ def random_instance(
         rows, levels = oracle.constraint_rows(tree, book, config)
         dim = rows.shape[1]
         try:
-            phase1_point(None, None, rows, levels, dim, nonneg=True)
+            phase1_point(None, None, rows, levels, dim)
         except Infeasible:
             continue
         return RandomInstance(tree, book, config, move_sets)

@@ -198,28 +198,35 @@ def test_raw_form_dominates_the_centered_form():
     )
 
 
-def test_oracle_optima_certify_and_reassemble():
-    rng = np.random.default_rng(505)
+@pytest.mark.parametrize(
+    "form, seed",
+    [(Form.MIN_VARIANCE, 505), (Form.FIXED_MEAN, 101)],
+    ids=["min-variance", "fixed-mean"],
+)
+def test_oracle_optima_certify_and_reassemble(form, seed):
+    rng = np.random.default_rng(seed)
     worst_residual = 0.0
     worst_rebuild = 0.0
     for _ in range(20):
         inst = random_instance(rng)
-        sol = dense_qp(inst.tree, inst.book, inst.config, Form.MIN_VARIANCE)
+        sol = dense_qp(inst.tree, inst.book, inst.config, form)
         mults = MultiplierSet(
             sol.roe_multipliers, sol.mean_multiplier, sol.bound_multipliers
         )
         report = kkt_verify(
-            inst.tree, inst.book, inst.config, sol.plan, mults
+            inst.tree, inst.book, inst.config, sol.plan, mults, form=form
         )
         worst_residual = max(worst_residual, report.total)
-        rebuilt = assemble_solution(inst.tree, inst.book, inst.config, mults)
+        rebuilt = assemble_solution(
+            inst.tree, inst.book, inst.config, mults, kind=form.kind
+        )
         worst_rebuild = max(
             worst_rebuild,
             norm(inst.tree, rebuilt - sol.plan) / max(norm(inst.tree, sol.plan), 1e-12),
         )
     _verdict(
         worst_residual <= 1e-8 and worst_rebuild <= 1e-6,
-        "optimality certificates round trip",
+        f"{form.value} optimality certificates round trip",
         f"20 instances, worst residual {worst_residual:.2e}, "
         f"worst reassembly deviation {worst_rebuild:.2e}",
     )

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from reinsqp import oracle
 from reinsqp.errors import Infeasible, InputError, NumericalFailure
 from reinsqp.operators import Kind, representers
 from reinsqp.oracle import (
@@ -20,6 +21,7 @@ from reinsqp.oracle import (
     to_coords,
 )
 from reinsqp.portfolio import evaluate_constraints
+from reinsqp.qp import solve_qp
 from reinsqp.tree import inner_product, norm
 
 from conftest import random_instance
@@ -146,6 +148,34 @@ class TestMinVariance:
         )
         with pytest.raises(Infeasible):
             dense_qp(coin2.tree, negated, coin2.config, Form.MIN_VARIANCE)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "scale, shift, component",
+        [(1.0, 0.5, "stationarity"), (0.5, 0.0, "feasibility"), (2.0, 0.0, "complementarity")],
+    )
+    def test_uncertified_answer_is_refused(self, coin2, monkeypatch, scale, shift, component):
+        # scaling the solve's point and every multiplier keeps stationarity
+        # and breaks the floor (0.5) or its complementarity (2); a shift of
+        # the point breaks stationarity
+        def corrupted(*args, **kwargs):
+            res = solve_qp(*args, **kwargs)
+            return dataclasses.replace(
+                res,
+                x=scale * res.x + shift,
+                eq_multipliers=scale * res.eq_multipliers,
+                ineq_multipliers=scale * res.ineq_multipliers,
+                bound_multipliers=scale * res.bound_multipliers,
+            )
+
+        monkeypatch.setattr(oracle, "solve_qp", corrupted)
+        with pytest.raises(NumericalFailure, match=f"fails its {component} check: [0-9.e+-]+$"):
+            dense_qp(coin2.tree, coin2.book, coin2.config, Form.MIN_VARIANCE)
+
+    def test_fixed_coordinates_are_exactly_zero(self, coin2):
+        sol = dense_qp(coin2.tree, coin2.book, coin2.config, Form.MIN_VARIANCE)
+        assert sol.plan.stage(1).values[0, 0] == 0.0
 
 
 class TestFixedMean:

@@ -145,7 +145,7 @@ class TestPhase1:
     def test_equality_honored(self):
         a_eq = np.array([[1.0, -1.0]])
         b_eq = np.array([0.5])
-        x = phase1_point(a_eq, b_eq, None, None, 2, nonneg=False)
+        x = phase1_point(a_eq, b_eq, None, None, 2)
         assert x[0] - x[1] == pytest.approx(0.5, abs=1e-9)
 
     def test_infeasible_raises(self):
@@ -170,7 +170,6 @@ class TestSolveQP:
         a_in = np.array([[-1.0, 1.0]])
         res = solve_qp(g, c, a_in=a_in, b_in=np.zeros(1))
         np.testing.assert_allclose(res.x, [1.5, 1.5], atol=1e-9)
-        assert res.active[0]
         assert res.ineq_multipliers[0] == pytest.approx(1.5, abs=1e-9)
 
     def test_inactive_constraint_keeps_zero_multiplier(self):
@@ -188,24 +187,47 @@ class TestSolveQP:
             n = int(rng.integers(2, 6))
             g = random_spd(rng, n)
             c = rng.standard_normal(n)
-            a_in = np.vstack([np.eye(n), rng.standard_normal((2, n))])
-            b_in = np.concatenate([np.zeros(n), -np.abs(rng.standard_normal(2)) - 1.0])
+            a_in = rng.standard_normal((2, n))
+            b_in = -np.abs(rng.standard_normal(2)) - 1.0
             res = solve_qp(g, c, a_in=a_in, b_in=b_in)
             grad = g @ res.x + c
-            stat = grad - a_in.T @ res.ineq_multipliers
+            nu = res.bound_multipliers
+            stat = grad - a_in.T @ res.ineq_multipliers - nu
             scale = 1.0 + float(np.abs(grad).max())
             assert float(np.abs(stat).max()) < 1e-8 * scale
             assert (res.ineq_multipliers >= -1e-8 * scale).all()
+            assert (nu >= -1e-8 * scale).all()
             assert (a_in @ res.x - b_in >= -1e-8).all()
+            assert (res.x >= 0.0).all()
             comp = res.ineq_multipliers * (a_in @ res.x - b_in)
             assert float(np.abs(comp).max()) < 1e-7 * scale
+            assert float(np.abs(nu * res.x).max()) < 1e-7 * scale
 
-    def test_warm_start_accepted(self):
-        g = np.eye(2)
-        c = np.array([-2.0, -2.0])
-        a_in = np.eye(2)
-        res = solve_qp(g, c, a_in=a_in, b_in=np.zeros(2), x0=np.array([5.0, 5.0]))
-        np.testing.assert_allclose(res.x, [2.0, 2.0], atol=1e-10)
+    def test_bounds_are_native(self):
+        # the unconstrained optimum (2, -1) leaves the orthant; x1 is fixed
+        # at zero with multiplier (gx + c)_1 = 1
+        res = solve_qp(np.eye(2), np.array([-2.0, 1.0]))
+        np.testing.assert_array_equal(res.x, [2.0, 0.0])
+        np.testing.assert_allclose(res.bound_multipliers, [0.0, 1.0], atol=1e-12)
+
+    def test_degenerate_vertex_with_an_equality_row(self):
+        # sum(x) = 1 with r.x = -0.1 written as two opposite rows: every
+        # vertex of the feasible set has 4 active constraints on 3
+        # coordinates, and the optimum lies between two of them
+        a_eq, b_eq = np.ones((1, 3)), np.ones(1)
+        r = np.array([0.3, -0.1, -0.4])
+        a_in, b_in = np.array([r, -r]), np.array([-0.1, 0.1])
+        vertex = phase1_point(a_eq, b_eq, a_in, b_in, 3)
+        assert 1 + 2 + np.count_nonzero(vertex <= 1e-9) > 3
+        res = solve_qp(np.eye(3), -np.ones(3), a_eq, b_eq, a_in, b_in)
+        # the optimum is interior to the orthant: the projection of
+        # (1, 1, 1) onto {sum(x) = 1, r.x = -0.1}
+        rows = np.array([np.ones(3), r])
+        kkt = np.block([[np.eye(3), rows.T], [rows, np.zeros((2, 2))]])
+        expected = np.linalg.solve(kkt, np.array([1.0, 1.0, 1.0, 1.0, -0.1]))[:3]
+        assert (expected > 0.1).all()
+        np.testing.assert_allclose(res.x, expected, atol=1e-12)
+        np.testing.assert_allclose(a_eq @ res.x, b_eq, atol=1e-12)
 
     def test_infeasible_problem_raises(self):
         a_in = np.array([[1.0], [-1.0]])

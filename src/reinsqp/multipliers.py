@@ -395,6 +395,12 @@ def first_approximation(
     return FirstApproximation(plan, relaxed, mults, deterministic, gram)
 
 
+def _worst(*terms) -> float:
+    """The largest of 0 and every entry of ``terms``: NaN when any entry is
+    NaN, and 0.0, never -0.0, when none is positive."""
+    return float(np.max(np.concatenate([np.zeros(1), *map(np.ravel, terms)]))) + 0.0
+
+
 @dataclass
 class KktReport:
     """Verified optimality residuals of a (plan, multipliers) pair.
@@ -412,7 +418,8 @@ class KktReport:
 
     @property
     def total(self) -> float:
-        return max(
+        """The largest residual; NaN when any of them is."""
+        return _worst(
             self.stationarity,
             self.worst_infeasibility,
             self.worst_complementarity,
@@ -462,29 +469,21 @@ def kkt_verify(
     stationarity = norm(tree, image - rhs) / scale
 
     report = evaluate_constraints(tree, book, config, plan)
-    infeas = max(
-        float(np.max(-report.roe_slacks, initial=0.0)),
-        (abs(report.mean_slack) if pinned else max(-report.mean_slack, 0.0)),
-        max(-plan.min_value(), 0.0),
+    mean_slack = report.mean_slack
+    infeas = _worst(
+        -report.roe_slacks,
+        abs(mean_slack) if pinned else -mean_slack,
+        *(-eta.values for eta in plan.stages),
     )
 
-    compl = 0.0
-    for t, lam in enumerate(mults.roe):
-        compl = max(compl, abs(lam * report.roe_slacks[t]) / (1.0 + abs(lam)))
-    if not pinned:
-        compl = max(
-            compl, abs(mults.mean * report.mean_slack) / (1.0 + abs(mults.mean))
-        )
-    for k in range(tree.last_issue + 1):
-        nu_k = mults.bounds.stage(k).values
-        eta_k = plan.stage(k).values
-        prods = np.abs(nu_k * eta_k) / (1.0 + np.abs(nu_k))
-        if prods.size:
-            compl = max(compl, float(prods.max()))
-
-    sign = max(float(np.max(-mults.roe, initial=0.0)), max(-mults.bounds.min_value(), 0.0))
-    if not pinned:
-        sign = max(sign, max(-mults.mean, 0.0))
+    roe, mean = mults.roe, mults.mean
+    compl = _worst(
+        np.abs(roe * report.roe_slacks) / (1.0 + np.abs(roe)),
+        [] if pinned else abs(mean * mean_slack) / (1.0 + abs(mean)),
+        *(np.abs(nu.values * eta.values) / (1.0 + np.abs(nu.values))
+          for nu, eta in zip(mults.bounds.stages, plan.stages)),
+    )
+    sign = _worst(-roe, [] if pinned else -mean, *(-nu.values for nu in mults.bounds.stages))
 
     return KktReport(stationarity, infeas, compl, sign, tol)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +28,7 @@ from .errors import DimensionMismatch, InputError
 
 #: absolute tolerance for probability sums
 PROB_TOL = 1e-9
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,8 @@ def validate_structure(
     All violations are collected and reported together rather than failing on
     the first one, so a malformed file produces one complete diagnosis.  A
     repeated node id ends the checks there, since the later ones look nodes
-    up by id.
+    up by id.  Ids and parents must fit in int64, the dtype of the tree's
+    id arrays.
     """
     problems: list[str] = []
     if n_contracts < 1:
@@ -79,6 +82,9 @@ def validate_structure(
 
     children: dict[int, list[NodeSpec]] = {n.id: [] for n in nodes}
     for n in nodes:
+        if not (_INT64.min <= n.id <= _INT64.max
+                and (n.parent is None or _INT64.min <= n.parent <= _INT64.max)):
+            problems.append(f"node {n.id} has an id or parent outside the int64 range")
         if n.depth < 0 or n.depth > horizon:
             problems.append(f"node {n.id} has depth {n.depth} outside [0, {horizon}]")
         if n.parent is not None:
@@ -156,8 +162,11 @@ class ScenarioTree:
         self.parent_row: list[np.ndarray] = []
         self.path_prob: list[np.ndarray] = []
         row_of: dict[int, int] = {}
-        for d in range(self.horizon + 1):
-            level = sorted((n for n in nodes if n.depth == d), key=lambda n: n.id)
+        levels: list[list[NodeSpec]] = [[] for _ in range(self.horizon + 1)]
+        for n in nodes:
+            levels[n.depth].append(n)
+        for d, level in enumerate(levels):
+            level.sort(key=attrgetter("id"))
             if not level:
                 raise InputError(f"no nodes at depth {d}")
             self.node_ids.append(np.array([n.id for n in level], dtype=np.int64))

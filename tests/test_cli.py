@@ -375,6 +375,17 @@ class TestProcessLevel:
             "utilities[0].value must be a finite number"
         ]
 
+    def test_node_id_past_int64_is_a_problem_not_a_crash(self, tmp_path):
+        data = coin2_data()
+        data["nodes"][3]["id"] = 2**70
+        path = tmp_path / "huge-id.json"
+        path.write_text(json.dumps(data))
+        res = self.run("validate", "--input", str(path))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert f"node {2**70} has an id or parent outside the int64 range" in \
+            json.loads(res.stdout)["problems"]
+
     def test_log_level_env(self, coin_file):
         args = ("solve", "--input", coin_file, "--max-iter", "2")
         quiet = self.run(*args)

@@ -2,6 +2,7 @@
 nodewise projections, and the honest fixed-point iteration."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from reinsqp.contracts import ContractBook, compute_moments
 from reinsqp.errors import InfeasibleDeterministic, InputError, NumericalFailure
 from reinsqp.multipliers import (
     GRAM_COND_MAX,
+    KktReport,
     MultiplierSet,
     assemble_solution,
     deterministic_solution,
@@ -257,6 +259,37 @@ class TestKktVerify:
         d = report.as_dict()
         assert d["converged"] is True
         assert d["total"] == report.total
+
+    def test_exact_zeros_are_positive_zeros(self, coin2, coin_oracle):
+        # the oracle pins coordinates at exactly 0, so the worst position and
+        # the worst multiplier are exact zeros
+        report = kkt_verify(
+            coin2.tree, coin2.book, coin2.config,
+            coin_oracle.plan, oracle_multiplier_set(coin_oracle),
+        )
+        for value in report.as_dict().values():
+            if value == 0.0:
+                assert math.copysign(1.0, value) == 1.0
+
+    def test_a_nan_in_any_component_is_the_total(self):
+        for at in range(4):
+            parts = [0.0] * 4
+            parts[at] = float("nan")
+            assert math.isnan(KktReport(*parts, tol=1e-8).total)
+
+    def test_a_nan_bound_multiplier_is_not_swallowed(self, coin2, coin_oracle):
+        bounds = coin_oracle.bound_multipliers
+        nu = [bounds.stage(k).values.copy() for k in range(2)]
+        nu[1][-1, 0] = np.nan  # last entry of the last stage
+        mults = MultiplierSet(
+            coin_oracle.roe_multipliers, coin_oracle.mean_multiplier,
+            PortfolioProcess.from_arrays(coin2.tree, nu),
+        )
+        report = kkt_verify(coin2.tree, coin2.book, coin2.config, coin_oracle.plan, mults)
+        assert math.isnan(report.worst_complementarity)
+        assert math.isnan(report.worst_sign)
+        assert math.isnan(report.total)
+        assert not report.converged
 
 
 class TestIterate:

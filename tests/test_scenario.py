@@ -2,15 +2,18 @@
 
 import copy
 import json
+import random
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
+from reinsqp import scenario
 from reinsqp.errors import InputError
 from reinsqp.scenario import load, parse, validate_data
 from reinsqp.tree import ScenarioTree
 
-from conftest import coin2_data
+from conftest import coin2_data, random_instance, scenario_dict
 
 
 class TestValidateData:
@@ -114,6 +117,26 @@ class TestValidateData:
         data["K0"] = 10**400
         assert validate_data(data) == [f"K0 must be a nonnegative number, got {10**400!r}"]
 
+    def test_indices_past_int64_keep_their_messages(self):
+        for big in (2**70, -2**70):
+            data = coin2_data()
+            data["utilities"][0]["issue_time"] = big
+            data["utilities"][1]["contract"] = big
+            data["utilities"][2]["node"] = big
+            assert validate_data(data) == [
+                f"utilities[0]: issue_time {big} outside 0..1",
+                f"utilities[1]: contract {big} outside 0..0 (zero-based)",
+                f"utilities[2]: unknown node {big}",
+            ]
+
+    @pytest.mark.parametrize("field", ["id", "parent"])
+    def test_node_ids_past_int64_are_problems(self, field):
+        data = coin2_data()
+        data["nodes"][3][field] = 2**70
+        problems = validate_data(data)
+        assert f"node {data['nodes'][3]['id']} has an id or parent outside the int64 range" \
+            in problems
+
     def test_issue_time_outside_range(self):
         data = coin2_data()
         data["utilities"][0]["issue_time"] = 2
@@ -181,21 +204,33 @@ class TestParse:
 
 
 class _CountingList(list):
+    """A list that records every read from it and every walk over it."""
+
     def __init__(self, items):
         super().__init__(items)
+        self.reads = []
         self.walks = 0
 
     def __iter__(self):
         self.walks += 1
         return super().__iter__()
 
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
+
 
 class TestOneWalk:
-    def test_parse_walks_the_utilities_once(self):
+    def test_parse_walks_the_utilities_once(self, monkeypatch):
+        # each entry is read in exactly one slice, and nothing reads it again
+        monkeypatch.setattr(scenario, "_SLICE", 3)
         data = coin2_data()
-        data["utilities"] = _CountingList(data["utilities"])
+        utilities = data["utilities"] = _CountingList(data["utilities"])
         parse(data)
-        assert data["utilities"].walks == 1
+        assert utilities.walks == 0
+        assert all(isinstance(r, slice) for r in utilities.reads)
+        read = [i for r in utilities.reads for i in range(*r.indices(len(utilities)))]
+        assert read == list(range(len(utilities)))
 
     def test_load_builds_one_tree(self, tmp_path, monkeypatch):
         path = tmp_path / "coin.json"
@@ -229,3 +264,146 @@ class TestLoad:
         path.write_text("{not json")
         with pytest.raises(InputError, match="not valid JSON"):
             load(path)
+
+
+def _reference_utilities(utilities, tree):
+    """The per-entry utility check that the column pass replaced, kept as a
+    reference: every entry's first problem, and the (values, listed) blocks."""
+    n, t_bar = tree.n_contracts, tree.last_issue
+    problems, blocks = [], {}
+    for i, raw in enumerate(utilities):
+        if not isinstance(raw, dict):
+            problems.append(f"utilities[{i}] must be an object")
+            continue
+        try:
+            k, c, node, value = itemgetter(*scenario._ENTRY_KEYS)(raw)
+        except KeyError:
+            missing = [key for key in scenario._ENTRY_KEYS if key not in raw]
+            problems.append(f"utilities[{i}] missing {missing}")
+            continue
+        if not (scenario._is_int(k) and scenario._is_int(c) and scenario._is_int(node)):
+            problems.append(f"utilities[{i}] has non-integer indices")
+            continue
+        if not scenario._is_num(value):
+            problems.append(f"utilities[{i}].value must be a finite number")
+            continue
+        if not 0 <= k <= t_bar:
+            problems.append(f"utilities[{i}]: issue_time {k} outside 0..{t_bar}")
+            continue
+        if not 0 <= c < n:
+            problems.append(
+                f"utilities[{i}]: contract {c} outside 0..{n - 1} (zero-based)"
+            )
+            continue
+        try:
+            depth = tree.node_depth(node)
+        except InputError:
+            problems.append(f"utilities[{i}]: unknown node {node}")
+            continue
+        if depth <= k:
+            problems.append(
+                f"utilities[{i}]: node {node} at depth {depth} not after "
+                f"issue time {k}"
+            )
+            continue
+        block = blocks.get((k, depth))
+        if block is None:
+            shape = (tree.n_nodes(depth), n)
+            block = blocks[(k, depth)] = (np.zeros(shape), np.zeros(shape, dtype=bool))
+        values, listed = block
+        row = tree.node_row(depth, node)
+        if listed[row, c]:
+            problems.append(
+                f"utilities[{i}]: duplicate entry for issue_time {k}, "
+                f"contract {c}, node {node}"
+            )
+            continue
+        listed[row, c] = True
+        values[row, c] = float(value)
+    return problems, blocks
+
+
+_ODD = [True, False, 1.0, 2.5, None, "1", [1], {}, 10**400, 2**70, -2**70,
+        2**63, -2**63 - 1, 2**63 - 1, -1, 0, 1, 10**6, float("nan"), float("inf")]
+
+
+def _mutated(base: dict, rng: random.Random) -> list:
+    """A copy of the document's utilities with a few seeded defects: non-objects,
+    missing keys, odd field values, unknown or too-early nodes, out-of-range
+    indices and repeats."""
+    utilities = copy.deepcopy(base["utilities"])
+    nodes = [node["id"] for node in base["nodes"]] + [10**6, 2**70, -2**70]
+    for _ in range(rng.randint(1, 6)):
+        i = rng.randrange(len(utilities))
+        raw = utilities[i]
+        op = rng.randrange(7)
+        if op == 0:
+            utilities[i] = rng.choice([1, "entry", None, [1, 2]])
+        elif op == 1:
+            utilities.insert(rng.randrange(len(utilities) + 1), copy.deepcopy(raw))
+        elif op == 2:
+            utilities.append(copy.deepcopy(raw))
+            if isinstance(raw, dict):
+                utilities[-1]["value"] = rng.random()
+        elif not isinstance(raw, dict):
+            continue
+        elif op == 3:
+            raw.pop(rng.choice(scenario._ENTRY_KEYS), None)
+        elif op == 4:
+            raw[rng.choice(scenario._ENTRY_KEYS)] = rng.choice(_ODD)
+        elif op == 5:
+            raw["node"] = rng.choice(nodes)
+        else:
+            raw["issue_time"] = rng.randrange(-1, base["T_bar"] + 2)
+            raw["contract"] = rng.randrange(-1, base["N"] + 1)
+    return utilities
+
+
+def _fixed_defects() -> list:
+    """The utility defects that the document tests above and the CLI tests
+    build, on the coin document."""
+    def edit(index, **fields):
+        data = coin2_data()
+        data["utilities"][index].update(fields)
+        return data["utilities"]
+
+    repeated = coin2_data()["utilities"]
+    return [
+        edit(0, contract=1), edit(1, value=float("inf")), edit(2, node=99),
+        edit(0, node=1, issue_time=1), edit(0, issue_time=2), edit(0, contract=5),
+        edit(0, contract=7), edit(0, value=10**400), edit(0, value=True),
+        edit(0, node=2.0), repeated + [copy.deepcopy(repeated[0])],
+        repeated + [dict(repeated[0], value=0.0)],
+    ]
+
+
+class TestColumnPassParity:
+    """The column pass against the per-entry reference, on every slice size
+    that splits the documents' entries differently."""
+
+    @pytest.mark.parametrize("size", [3, scenario._SLICE])
+    def test_problems_and_blocks_match_the_reference(self, size, monkeypatch):
+        monkeypatch.setattr(scenario, "_SLICE", size)
+        rng = random.Random(20)
+        bases = [coin2_data(), scenario_dict(random_instance(np.random.default_rng(4)))]
+        cases = [(bases[0], u) for u in _fixed_defects()]
+        cases += [(base, _mutated(base, rng)) for base in bases for _ in range(60)]
+        cases += [(base, base["utilities"]) for base in bases]
+        clean = 0
+        for base, utilities in cases:
+            tree = parse(base).tree
+            problems, blocks = scenario._check_utilities(utilities, tree)
+            want_problems, want_blocks = _reference_utilities(utilities, tree)
+            assert problems == want_problems
+            assert list(blocks) == list(want_blocks)
+            for key, (values, listed) in blocks.items():
+                want_values, want_listed = want_blocks[key]
+                assert values.tobytes() == want_values.tobytes()
+                assert np.array_equal(listed, want_listed)
+            if not problems:
+                clean += 1
+                stored = parse(dict(base, utilities=utilities)).book.stored_entries()
+                assert list(stored) == list(want_blocks)
+                for key, values in stored.items():
+                    assert values.tobytes() == want_blocks[key][0].tobytes()
+        assert clean >= 2

@@ -62,6 +62,16 @@ class TestStructure:
         np.testing.assert_array_equal(tree.parent_row[2], [0, 0, 1, 1])
 
 
+    def test_node_order_does_not_matter(self):
+        # depth-major, ascending id, whatever order the specs come in
+        nodes = two_period_coin_nodes()
+        want = ScenarioTree(1, 1, 1, nodes)
+        got = ScenarioTree(1, 1, 1, nodes[::-1])
+        for name in ("node_ids", "cond_prob", "parent_row", "path_prob"):
+            for a, b in zip(getattr(got, name), getattr(want, name)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestValidation:
     def test_clean_tree_passes(self):
         assert validate_structure(1, 1, 1, two_period_coin_nodes()) == []

@@ -7,7 +7,8 @@ multiplier per plan coordinate.  The route implemented here eliminates the
 plan: solving the governing form against every representer produces a
 small Gram system whose sign-constrained solution yields the period and
 mean weights, while the nonnegativity multipliers come from a nodewise
-sign-constrained projection.
+sign-constrained projection.  The Gram build keeps the solved
+representers, so each projection cycle makes one structured solve.
 
 The ladder has three rungs: a deterministic approximation that replaces
 every representer by its expectation, a first approximation that reuses
@@ -125,24 +126,17 @@ class FormSolver:
 class RepresenterGram:
     """The representer Gram system in the governing form's geometry.
 
-    ``inverse_gram[t, s]`` is the pairing of representer t with the solved
-    image of representer s (profitability rows first, mean last), flagged
-    ``near_singular`` when the rows are numerically dependent.
+    ``solved`` holds the solved representers; ``inverse_gram[t, s]`` pairs
+    representer t with solved representer s (profitability rows first, mean
+    last), flagged ``near_singular`` when the rows are numerically dependent.
     """
 
-    solved: list[PortfolioProcess]
+    solved: Representers
     inverse_gram: np.ndarray
     cond: float
     near_singular: bool
     solver: FormSolver = field(repr=False)
     reps: Representers = field(repr=False)
-
-    def r_vector(self, nu: PortfolioProcess) -> np.ndarray:
-        """Pairing of every representer with the solved image of ``nu``."""
-        w = self.solver.solve(nu)
-        return np.array(
-            [inner_product(self.solver.tree, row, w) for row in self.reps.all_rows()]
-        )
 
 
 def l_gram(
@@ -161,13 +155,9 @@ def l_gram(
         reps = representers(tree, book, config)
     if solver is None:
         solver = FormSolver(tree, book, moments, config, kind)
-    rows = reps.all_rows()
-    solved = [solver.solve(row) for row in rows]
-    n = len(rows)
-    inv_gram = np.empty((n, n))
-    for t, row in enumerate(rows):
-        for s in range(n):
-            inv_gram[t, s] = inner_product(tree, row, solved[s])
+    solved = Representers(solver.solve(reps.mean), [solver.solve(r) for r in reps.roe])
+    inv_gram = np.array([[inner_product(tree, row, image) for image in solved.all_rows()]
+                         for row in reps.all_rows()])
     inv_gram = 0.5 * (inv_gram + inv_gram.T)
     cond = float(np.linalg.cond(inv_gram))
     near_singular = not np.isfinite(cond) or cond > GRAM_COND_MAX
@@ -333,15 +323,15 @@ def _projection_cycle(
     nu: PortfolioProcess,
     form: Form,
 ):
-    """One full update: multipliers from the Gram step, relaxed plan from a
-    governing-form solve, then the nodewise projection split."""
+    """One full update: multipliers from the Gram step, relaxed plan from one
+    solve (of ``nu``, added to the solved representers), then the split."""
     kind = gram.solver.kind
     levels = config.levels(tree)
-    r = gram.r_vector(nu)
+    solved_nu = gram.solver.solve(nu)
+    r = np.array([inner_product(tree, row, solved_nu) for row in gram.reps.all_rows()])
     weights = _multiplier_step(gram, r, levels, form)
     roe_w, mean_w = weights[:-1], float(weights[-1])
-    rhs = gram.reps.combine(roe_w, mean_w) + nu
-    relaxed = gram.solver.solve(rhs)
+    relaxed = gram.solved.combine(roe_w, mean_w) + solved_nu
     scalars = [
         leaf_scalar(kind, tree, book, l, relaxed.stage(l))
         for l in range(tree.last_issue + 1)
@@ -538,11 +528,13 @@ def iterate(
     Each cycle feeds the latest nonnegativity multipliers back into the
     Gram step.  The residual history is recorded as computed; any material
     increase, or a residual that stops being finite, raises the
-    non-monotone flag but does not stop the loop, and no convergence is
-    claimed beyond what the final report shows.  A plan above a variance
-    cap raises :class:`Infeasible` if the ladder converged, else
-    :class:`NumericalFailure`.  The max-mean form is solved by
-    :func:`iterate_max_mean`, which runs this uncapped at each floor.
+    non-monotone flag (numpy's floating-point warnings stay silent) but
+    does not stop the loop.  The result is the cycle with the lowest finite KKT
+    total, the first of equals, and claims no convergence beyond its
+    report.  A plan above a variance cap raises :class:`Infeasible` if the
+    ladder converged, else :class:`NumericalFailure`.  The max-mean form is
+    solved by :func:`iterate_max_mean`, which runs this uncapped at each
+    floor.
     """
     if form is Form.MAX_MEAN:
         raise InputError("the max-mean form is solved by iterate_max_mean")
@@ -550,46 +542,45 @@ def iterate(
         moments = compute_moments(tree, book)
     first = first_approximation(tree, book, config, moments, form=form)
     gram = first.gram
-    plan, relaxed, mults = first.plan, first.relaxed_plan, first.multipliers
-    report = kkt_verify(tree, book, config, plan, mults, form, reps=gram.reps, tol=tol)
+    mults = first.multipliers
+    report = kkt_verify(tree, book, config, first.plan, mults, form, reps=gram.reps, tol=tol)
+    best = dict(plan=first.plan, relaxed_plan=first.relaxed_plan, multipliers=mults,
+                report=report)
     history = [report.total]
-    non_monotone = False
-    done = 0
-    for _ in range(max_iter):
-        if report.converged:
-            break
-        mults, plan, relaxed = _projection_cycle(
-            tree, book, config, moments, gram, mults.bounds, form
-        )
-        report = kkt_verify(tree, book, config, plan, mults, form, reps=gram.reps, tol=tol)
-        history.append(report.total)
-        done += 1
-        grew = history[-1] > history[-2] * (1.0 + RESIDUAL_JITTER)
-        if grew or not np.isfinite(history[-1]):
-            non_monotone = True
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if report.converged:
+                break
+            mults, plan, relaxed = _projection_cycle(
+                tree, book, config, moments, gram, mults.bounds, form
+            )
+            report = kkt_verify(tree, book, config, plan, mults, form, reps=gram.reps, tol=tol)
+            history.append(report.total)
+            # a finite total below every earlier one (NaN compares false)
+            if np.isfinite(report.total) and not best["report"].total <= report.total:
+                best = dict(plan=plan, relaxed_plan=relaxed, multipliers=mults, report=report)
+    steps = zip(history, history[1:])
+    grew = any(b > a * (1.0 + RESIDUAL_JITTER) or not np.isfinite(b) for a, b in steps)
     res = IterationResult(
-        plan=plan,
-        relaxed_plan=relaxed,
-        multipliers=mults,
-        report=report,
+        **best,
         history=history,
-        iterations=done,
-        converged=report.converged,
-        non_monotone=non_monotone,
+        iterations=len(history) - 1,
+        converged=best["report"].converged,
+        non_monotone=grew,
         near_singular=gram.near_singular,
         fallbacks=gram.solver.fallbacks,
         deterministic=first.deterministic,
     )
     cap = config.variance_cap
     if cap is not None:
-        oracle.cap_verdict(res, variance_final(tree, book, plan), cap,
+        oracle.cap_verdict(res, variance_final(tree, book, res.plan), cap,
                            check=_require_converged(config.mean_floor, cap))
     return res
 
 
 def _require_converged(floor: float, cap: float):
-    """The ladder's check for :func:`oracle.cap_verdict`: only a converged
-    plan shows what variance is attainable."""
+    """The ladder's check for :func:`oracle.cap_verdict` and the max-mean
+    floor 0: only a converged plan shows what variance is attainable."""
 
     def check(res: IterationResult, var: float) -> None:
         if not res.converged:
@@ -616,9 +607,9 @@ def iterate_max_mean(
     :class:`IterationResult`.  The ladder's variances need not be exactly
     monotone in the floor, so the returned floor is only as good as the
     recorded optimality reports; the trace keeps every (floor, variance)
-    pair evaluated.  A cap below the floor-0 variance is infeasible only
-    when that ladder converged; otherwise the search raises a numerical
-    failure.
+    pair evaluated.  The search starts only from a converged floor-0
+    ladder, else raises a numerical failure; a cap below that ladder's
+    variance is infeasible.
     """
     cap = config.variance_cap
     if cap is None:

@@ -270,12 +270,13 @@ def max_mean_floor(
 
     ``solve_at(floor)`` solves the min-variance form at that floor and
     returns ``(result, variance, mean)``.  The search relies on the optimal
-    variance being nondecreasing in the floor.  The floor-0 solve gets
-    :func:`cap_verdict` with ``check_floor0``.  From floor 0 the floor
-    doubles until the variance reaches the cap or the floor reaches the
-    largest attainable mean of ``rows`` and ``levels``; a cap still slack
-    there returns that floor with ``cap_binding=False``.  Otherwise the
-    floor is bisected until the variance meets the cap in relative terms.
+    variance being nondecreasing in the floor.  The floor-0 solve must pass
+    ``check_floor0(result, variance)``, at any variance, then
+    :func:`cap_verdict`.  From floor 0 the floor doubles until the variance
+    reaches the cap or the floor reaches the largest attainable mean of
+    ``rows`` and ``levels``; a cap still slack there returns that floor
+    with ``cap_binding=False``.  Otherwise the floor is bisected until the
+    variance meets the cap in relative terms.
     """
     trace: list[tuple[float, float]] = []
 
@@ -286,7 +287,9 @@ def max_mean_floor(
 
     lo = 0.0
     res_lo, var_lo, mean_lo = visit(lo)
-    cap_verdict(res_lo, var_lo, cap, bisect_tol, check_floor0)
+    if check_floor0 is not None:
+        check_floor0(res_lo, var_lo)
+    cap_verdict(res_lo, var_lo, cap, bisect_tol)
     e_max = max_attainable_mean(rows, levels)
     hi = max(1.0, 2 * abs(mean_lo))
     for _ in range(80):

@@ -1,7 +1,8 @@
 """Active-set solvers for the package's quadratic programs.
 
 Two entry points share the same philosophy (strictly convex objectives,
-explicit active sets, lowest-index anti-cycling):
+explicit active sets, lowest-index anti-cycling, and a full step going
+straight to the multiplier test of the solve that produced it):
 
 ``nonneg_qp``
     The sign-constrained projection primitive: minimize a strictly convex
@@ -178,9 +179,11 @@ def solve_qp(
     Hanson's free-variable subproblem): the working set is the coordinates
     fixed at zero, the equality rows and some active inequality rows, and
     each pivot solves on the free coordinates only.  A blocking row joins,
-    a blocking coordinate is fixed (rows win ties); once the step vanishes
-    the lowest-index negative row multiplier leaves, else the lowest-index
-    negative bound multiplier ``(gx + c - A'mu)_j`` frees its coordinate.
+    a blocking coordinate is fixed (rows win ties).  After a full or a
+    vanishing step, the same solve's multipliers decide (Nocedal and Wright,
+    Alg. 16.3): the lowest-index negative row multiplier leaves, else the
+    lowest-index negative bound multiplier ``(gx + c - A'mu)_j`` frees its
+    coordinate.  ``n_pivots`` counts the solves.
     At the phase-1 vertex the zero coordinates are fixed (freed in index
     order until the equality rows are independent on the rest), and active
     rows join only while independent on the free coordinates, so no KKT
@@ -232,33 +235,35 @@ def solve_qp(
         d = np.zeros(n)
         d[free] = sol[:nf]
         mults = sol[nf:]
-        if float(np.abs(d).max(initial=0.0)) <= 1e-11 * (1.0 + float(np.abs(x).max())):
-            ineq_mults = mults[m_eq:]
-            nu = np.where(fixed, grad + g @ d - rows.T @ mults, 0.0)
-            # drop the lowest-index negative row multiplier, then bound one
-            neg = np.flatnonzero(ineq_mults < -1e-9 * scale)
-            if neg.size:
-                working[act_idx[neg[0]]] = False
+        if float(np.abs(d).max(initial=0.0)) > 1e-11 * (1.0 + float(np.abs(x).max())):
+            # longest step along d keeping inactive rows, then free coordinates
+            inact_idx = np.flatnonzero(~working)
+            slack = np.concatenate([a_in[inact_idx] @ x - b_in[inact_idx], x[free]])
+            rate = np.concatenate([a_in[inact_idx] @ d, d[free]])
+            decreasing = rate < -1e-13 * scale
+            steps = np.where(decreasing, -slack / np.where(decreasing, rate, -1.0), np.inf)
+            steps = np.maximum(steps, 0.0)
+            j = int(np.argmin(np.append(1.0, steps)))  # 0 is the full step
+            x = x + (steps[j - 1] if j else 1.0) * d
+            if j > inact_idx.size:
+                coord = free[j - 1 - inact_idx.size]
+                fixed[coord] = True
+                x[coord] = 0.0
                 continue
-            neg = np.flatnonzero(nu < -1e-9 * scale)
-            if neg.size:
-                fixed[neg[0]] = False
+            if j:
+                working[inact_idx[j - 1]] = True
                 continue
-            full = np.zeros(m_in)
-            full[act_idx] = ineq_mults
-            return QPResult(x, mults[:m_eq], full, nu, pivots)
-        # longest step along d keeping inactive rows, then free coordinates
-        inact_idx = np.flatnonzero(~working)
-        slack = np.concatenate([a_in[inact_idx] @ x - b_in[inact_idx], x[free]])
-        rate = np.concatenate([a_in[inact_idx] @ d, d[free]])
-        decreasing = rate < -1e-13 * scale
-        steps = np.where(decreasing, -slack / np.where(decreasing, rate, -1.0), np.inf)
-        steps = np.maximum(steps, 0.0)
-        j = int(np.argmin(np.append(1.0, steps)))  # 0 is the full step
-        x = x + (steps[j - 1] if j else 1.0) * d
-        if j > inact_idx.size:
-            coord = free[j - 1 - inact_idx.size]
-            fixed[coord] = True
-            x[coord] = 0.0
-        elif j:
-            working[inact_idx[j - 1]] = True
+        ineq_mults = mults[m_eq:]
+        nu = np.where(fixed, grad + g @ d - rows.T @ mults, 0.0)
+        # drop the lowest-index negative row multiplier, then bound one
+        neg = np.flatnonzero(ineq_mults < -1e-9 * scale)
+        if neg.size:
+            working[act_idx[neg[0]]] = False
+            continue
+        neg = np.flatnonzero(nu < -1e-9 * scale)
+        if neg.size:
+            fixed[neg[0]] = False
+            continue
+        full = np.zeros(m_in)
+        full[act_idx] = ineq_mults
+        return QPResult(x, mults[:m_eq], full, nu, pivots)

@@ -127,13 +127,17 @@ class TestVarianceCap:
         assert rc == 3
         assert err == (
             "numerical failure: ladder at mean floor 3 did not converge (KKT total "
-            "0.00877073 after 25 cycles), so its variance 1.05268 does not bound "
+            "0.00732623 after 25 cycles), so its variance 1.06585 does not bound "
             "the cap 0.5\n"
         )
 
+    # the ladder gets the cycles it needs: an unconverged ladder's variance
+    # does not decide a cap either way
     @pytest.mark.parametrize("command", ["solve", "oracle", "compare"])
     def test_cap_above_the_minimal_variance_passes(self, capsys, coin_file, command):
-        rc, out, _ = run_main(capsys, command, "--input", coin_file, "--sigma2", "1.06")
+        rc, out, _ = run_main(
+            capsys, command, "--input", coin_file, "--sigma2", "1.06", "--max-iter", "300"
+        )
         assert rc == 0
         assert parse_report(out)["report_type"] == command
 

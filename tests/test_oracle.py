@@ -294,11 +294,18 @@ class TestMaxMeanFloor:
                 squared_variance(1.0), 0.5, CAPPED_ROWS, CAPPED_LEVELS, check_floor0=check
             )
         assert seen == [("solve at 0.0", 1.0)]
-        # a feasible floor 0 never consults the check
+        # a feasible floor 0 consults the check too, and a passing check
+        # lets the search go on
+        with pytest.raises(NumericalFailure, match="not trusted"):
+            max_mean_floor(
+                squared_variance(), 9.0, CAPPED_ROWS, CAPPED_LEVELS, check_floor0=check
+            )
+        assert seen[1:] == [("solve at 0.0", 0.0)]
         out = max_mean_floor(
-            squared_variance(), 9.0, CAPPED_ROWS, CAPPED_LEVELS, check_floor0=check
+            squared_variance(), 9.0, CAPPED_ROWS, CAPPED_LEVELS,
+            check_floor0=lambda *seen_at: seen.append(seen_at),
         )
-        assert out.cap_binding and len(seen) == 1
+        assert out.cap_binding and seen[2:] == [("solve at 0.0", 0.0)]
 
     def test_unbounded_mean_takes_the_doubling_bracket(self):
         assert max_attainable_mean(OPEN_ROWS, OPEN_LEVELS) is None

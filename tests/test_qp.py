@@ -229,6 +229,16 @@ class TestSolveQP:
         np.testing.assert_allclose(res.x, expected, atol=1e-12)
         np.testing.assert_allclose(a_eq @ res.x, b_eq, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_a_full_step_goes_straight_to_the_multiplier_test(self, n):
+        # phase 1 starts at 0 with every coordinate fixed: the first pivot
+        # frees coordinate 0, and each later one takes a full step and, from
+        # the same solve, frees the next coordinate or stops; solving the
+        # working set again after each full step would take 2n + 1 pivots
+        res = solve_qp(np.eye(n), -np.ones(n))
+        np.testing.assert_array_equal(res.x, np.ones(n))
+        assert res.n_pivots == n + 1
+
     def test_infeasible_problem_raises(self):
         a_in = np.array([[1.0], [-1.0]])
         b_in = np.array([2.0, -1.0])

@@ -30,13 +30,11 @@ from .errors import (
     SingularPivot,
 )
 from .multipliers import (
-    FirstApproximation,
     IterationResult,
     KktReport,
     MultiplierSet,
     assemble_solution,
     deterministic_solution,
-    first_approximation,
     iterate,
     kkt_verify,
     l_gram,
@@ -63,7 +61,6 @@ __all__ = [
     "ConstraintReport",
     "ContractBook",
     "DimensionMismatch",
-    "FirstApproximation",
     "Form",
     "Infeasible",
     "InfeasibleDeterministic",
@@ -95,7 +92,6 @@ __all__ = [
     "deterministic_solution",
     "elimination_coefficients",
     "evaluate_constraints",
-    "first_approximation",
     "inner_product",
     "iterate",
     "kkt_verify",

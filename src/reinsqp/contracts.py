@@ -6,7 +6,7 @@ at time ``t`` for the generation issued at time ``k``.  Results are zero up
 to and including the issue time and reach their final value at the horizon.
 
 The optimizer only ever sees the book through its moment tables (second
-moments, covariances, and their conditional counterparts at coarser
+moments, covariances, and the conditional second moments at coarser
 information levels) and through a few conditional expectations, all of which
 are exact finite sums on the tree.
 """
@@ -83,17 +83,15 @@ class MomentTables:
     """Exact moment matrices of the settled results.
 
     ``second_moment[k]`` and ``covariance[k]`` are the N x N matrices of the
-    generation-k final results; ``mean[k]`` their expectation.  The
-    conditional tables hold, per conditioning depth ``n``, the second
-    moment / covariance of the depth-n conditional expectation of the
-    generation-k final results.
+    generation-k final results; ``mean[k]`` their expectation.
+    ``cond_second_moment[n][k]`` is the second moment of the depth-n
+    conditional expectation of the generation-k final results.
     """
 
     second_moment: list[np.ndarray]
     covariance: list[np.ndarray]
     mean: list[np.ndarray]
     cond_second_moment: list[list[np.ndarray]]
-    cond_covariance: list[list[np.ndarray]]
 
     @property
     def last_issue(self) -> int:
@@ -105,7 +103,6 @@ def compute_moments(tree: ScenarioTree, book: ContractBook) -> MomentTables:
     kmax = tree.last_issue
     second, cov, mean = [], [], []
     cond_second: list[list[np.ndarray]] = [[None] * (kmax + 1) for _ in range(kmax + 1)]
-    cond_cov: list[list[np.ndarray]] = [[None] * (kmax + 1) for _ in range(kmax + 1)]
     p_leaf = tree.path_prob[tree.horizon]
     for k in range(kmax + 1):
         u = book.final_utility(k).values
@@ -118,11 +115,8 @@ def compute_moments(tree: ScenarioTree, book: ContractBook) -> MomentTables:
         levels = tree.conditional_levels(u, tree.horizon, 0)[: kmax + 1]
         for n in range(kmax + 1):
             ubar = levels[n]
-            pn = tree.path_prob[n]
-            na = ubar.T @ (ubar * pn[:, None])
-            cond_second[n][k] = na
-            cond_cov[n][k] = na - np.outer(m, m)
-    return MomentTables(second, cov, mean, cond_second, cond_cov)
+            cond_second[n][k] = ubar.T @ (ubar * tree.path_prob[n][:, None])
+    return MomentTables(second, cov, mean, cond_second)
 
 
 @dataclass
@@ -157,7 +151,7 @@ class HypothesisReport:
         }
 
 
-def check_h1(tree: ScenarioTree, book: ContractBook, tol: float = MOMENT_TOL):
+def check_h1(tree: ScenarioTree, book: ContractBook):
     """Settled results carry no information available at their issue time.
 
     Verified through moment identities: the depth-k conditional first and
@@ -181,10 +175,10 @@ def check_h1(tree: ScenarioTree, book: ContractBook, tol: float = MOMENT_TOL):
         dev = float(np.abs(cond_second - second[None, :]).max())
         if dev > worst:
             worst, where = dev, f"second moment, issue {k}"
-    return worst <= tol, worst, where
+    return worst <= MOMENT_TOL, worst, where
 
 
-def check_h2(moments: MomentTables, tol_pd: float = PD_TOL):
+def check_h2(moments: MomentTables):
     """Every generation's settled-result covariance is positive definite.
 
     The eigenvalue floor is relative to the trace so the check is scale free.
@@ -196,12 +190,12 @@ def check_h2(moments: MomentTables, tol_pd: float = PD_TOL):
         rel = float(eigs[0]) / scale
         if rel < min_rel:
             min_rel, where = rel, f"covariance, issue {k}"
-        if float(eigs[0]) < tol_pd * scale:
+        if float(eigs[0]) < PD_TOL * scale:
             ok = False
     return ok, min_rel, where
 
 
-def check_h3(tree: ScenarioTree, book: ContractBook, tol: float = MOMENT_TOL):
+def check_h3(tree: ScenarioTree, book: ContractBook):
     """Settled results of distinct generations are independent.
 
     Verified through conditional mixed-moment factorization at every
@@ -229,22 +223,20 @@ def check_h3(tree: ScenarioTree, book: ContractBook, tol: float = MOMENT_TOL):
                 dev = float(np.abs(joint - split).max())
                 if dev > worst:
                     worst, where = dev, f"issues ({k},{l}) conditioned at depth {n}"
-    return worst <= tol, worst, where
+    return worst <= MOMENT_TOL, worst, where
 
 
 def check_hypotheses(
     tree: ScenarioTree,
     book: ContractBook,
     moments: MomentTables | None = None,
-    tol: float = MOMENT_TOL,
-    tol_pd: float = PD_TOL,
 ) -> HypothesisReport:
     """Run all three hypothesis checks and collect one report."""
     if moments is None:
         moments = compute_moments(tree, book)
-    h1_ok, h1_worst, h1_where = check_h1(tree, book, tol)
-    h2_ok, h2_min, h2_where = check_h2(moments, tol_pd)
-    h3_ok, h3_worst, h3_where = check_h3(tree, book, tol)
+    h1_ok, h1_worst, h1_where = check_h1(tree, book)
+    h2_ok, h2_min, h2_where = check_h2(moments)
+    h3_ok, h3_worst, h3_where = check_h3(tree, book)
     return HypothesisReport(
         h1_ok, h2_ok, h3_ok, h1_worst, h1_where, h2_min, h2_where, h3_worst, h3_where
     )

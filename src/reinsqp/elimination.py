@@ -11,14 +11,16 @@ solve costs one short recursion on small moment matrices plus, per stage,
 one leaf scalar and one sweep of the tree that conditions all of that
 stage's off-diagonal block images together.
 
-The same recursion parameterizes the candidate spectra: a number belongs to
-the operator's spectrum exactly when one of the level matrices, with the
+One top-down recursion serves the solves and the spectra.  Its level
+matrices parameterize the candidate spectra: a number belongs to the
+operator's spectrum exactly when one of the level matrices, with the
 recursion's scalars evaluated at that number, has it as an eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,8 +61,7 @@ class EliminationCoefficients:
     def pivot_cov(self, n: int, k: int) -> np.ndarray:
         """Centered-form diagonal: the raw pivot minus the remaining
         rank-one mean contribution."""
-        m = self.means[k]
-        return self.pivots[n][k] - (1.0 - self.mean_weight[n]) * np.outer(m, m)
+        return _centered(self.pivots[n][k], self.means[k], self.mean_weight[n])
 
     def checked_pivot(self, n: int, k: int, centered: bool = False) -> np.ndarray:
         """The level-n stage-k diagonal (raw, or centered), condition-checked
@@ -74,11 +75,61 @@ class EliminationCoefficients:
         return matrix
 
 
+def _singular(cond: float) -> bool:
+    return not np.isfinite(cond) or cond > COND_MAX
+
+
 def _checked_cond(matrix: np.ndarray, level: int) -> float:
     cond = float(np.linalg.cond(matrix))
-    if not np.isfinite(cond) or cond > COND_MAX:
+    if _singular(cond):
         raise SingularPivot(level, cond)
     return cond
+
+
+def _centered(pivot: np.ndarray, mean: np.ndarray, mean_weight: float) -> np.ndarray:
+    return pivot - (1.0 - mean_weight) * np.outer(mean, mean)
+
+
+class _Level(NamedTuple):
+    """One level of the elimination: ``pivots[k]`` is the stage-k raw
+    diagonal (shift included) for k <= n, ``cond`` the condition number of
+    ``pivots[n]``, ``mean`` the stage-n mean and ``mean_quad`` its
+    pivot-inverse quadratic form (NaN when the pivot is singular)."""
+
+    n: int
+    pivots: list[np.ndarray]
+    cond: float
+    mean_quad: float
+    block_scale: float
+    mean_weight: float
+    mean: np.ndarray
+
+    def centered(self) -> np.ndarray:
+        """The level's centered-form diagonal."""
+        return _centered(self.pivots[self.n], self.mean, self.mean_weight)
+
+
+def _recursion(moments: MomentTables, shift: float) -> Iterator[_Level]:
+    """Run the stage elimination top-down at ``shift``, one level at a time.
+
+    The scalars are driven by the raw-form pivots alone.  A level whose
+    pivot is numerically singular is the last one yielded: the shift sits
+    (numerically) in its spectrum, and deeper levels are not defined there.
+    """
+    eye = np.eye(moments.second_moment[0].shape[0])
+    pivots = [a - shift * eye for a in moments.second_moment]
+    scale, weight = 1.0, 0.0
+    for n in range(moments.last_issue, -1, -1):
+        cond = float(np.linalg.cond(pivots[n]))
+        m = moments.mean[n]
+        if _singular(cond):
+            yield _Level(n, pivots, cond, np.nan, scale, weight, m)
+            return
+        quad = float(m @ np.linalg.solve(pivots[n], m))
+        yield _Level(n, pivots, cond, quad, scale, weight, m)
+        w = quad * scale * scale
+        scale, weight = scale * (1.0 - quad * scale), weight + w
+        pivots = [pivots[k] - w * moments.cond_second_moment[n][k] for k in range(n)]
 
 
 def elimination_coefficients(
@@ -86,33 +137,23 @@ def elimination_coefficients(
 ) -> EliminationCoefficients:
     """Run the stage elimination recursion top-down at the given shift.
 
-    The recursion is identical for both forms: the scalars are driven by
-    the raw-form pivots alone, while the centered form reuses them with its
-    own rank-one-corrected diagonals.
+    The recursion is identical for both forms: the centered form reuses the
+    raw-form scalars with its own rank-one-corrected diagonals.  A
+    numerically singular pivot raises :class:`SingularPivot` at its level.
     """
     kmax = moments.last_issue
-    n_c = moments.second_moment[0].shape[0]
-    eye = np.eye(n_c)
     mean_quad = np.zeros(kmax + 1)
     block_scale = np.ones(kmax + 1)
     mean_weight = np.zeros(kmax + 1)
-    pivots: list[list[np.ndarray]] = [[None] * (kmax + 1) for _ in range(kmax + 1)]
-    for k in range(kmax + 1):
-        pivots[kmax][k] = moments.second_moment[k] - shift * eye
-    for n in range(kmax, 0, -1):
-        dnn = pivots[n][n]
-        _checked_cond(dnn, n)
-        m = moments.mean[n]
-        mean_quad[n] = float(m @ np.linalg.solve(dnn, m))
-        f = block_scale[n]
-        w = mean_quad[n] * f * f
-        block_scale[n - 1] = f * (1.0 - mean_quad[n] * f)
-        mean_weight[n - 1] = mean_weight[n] + w
-        for k in range(n):
-            pivots[n - 1][k] = pivots[n][k] - w * moments.cond_second_moment[n][k]
-    _checked_cond(pivots[0][0], 0)
-    m = moments.mean[0]
-    mean_quad[0] = float(m @ np.linalg.solve(pivots[0][0], m))
+    pivots: list[list[np.ndarray]] = [None] * (kmax + 1)
+    for level in _recursion(moments, shift):
+        n = level.n
+        if _singular(level.cond):
+            raise SingularPivot(n, level.cond)
+        mean_quad[n] = level.mean_quad
+        block_scale[n] = level.block_scale
+        mean_weight[n] = level.mean_weight
+        pivots[n] = level.pivots + [None] * (kmax - n)
     coeffs = EliminationCoefficients(
         shift, mean_quad, block_scale, mean_weight, pivots, list(moments.mean)
     )
@@ -259,10 +300,11 @@ def solve(
 class SpectralSets:
     """Candidate spectra from the elimination recursion at a fixed shift.
 
-    ``levels_raw[n]`` / ``levels_centered[n]`` hold the eigenvalues of the
-    level-n matrices (recursion scalars evaluated at the shift); the flat
-    ``raw`` / ``centered`` arrays are their sorted unions, the centered one
-    including the raw one.
+    ``levels_raw`` / ``levels_centered`` hold the eigenvalues of the level
+    matrices (recursion scalars evaluated at the shift), one array per
+    level from the last issue stage down, ending at the first level whose
+    pivot is singular at the shift; the flat ``raw`` / ``centered`` arrays
+    are their sorted unions, the centered one including the raw one.
     """
 
     shift: float
@@ -272,39 +314,16 @@ class SpectralSets:
     centered: np.ndarray
 
 
-def _level_matrices(moments: MomentTables, shift: float):
-    """Yield (level, raw diagonal, centered diagonal) from the top down,
-    stopping early if a pivot becomes numerically singular."""
-    kmax = moments.last_issue
-    weights: list[tuple[int, float]] = []
-    f = 1.0
-    for n in range(kmax, -1, -1):
-        da = moments.second_moment[n].copy()
-        db = moments.covariance[n].copy()
-        for r, w in weights:
-            da = da - w * moments.cond_second_moment[r][n]
-            db = db - w * moments.cond_covariance[r][n]
-        yield n, da, db
-        if n == 0:
-            break
-        pivot = da - shift * np.eye(da.shape[0])
-        cond = float(np.linalg.cond(pivot))
-        if not np.isfinite(cond) or cond > COND_MAX:
-            # the shift sits (numerically) in this level's spectrum; deeper
-            # levels are not defined at it
-            break
-        m = moments.mean[n]
-        d = float(m @ np.linalg.solve(pivot, m))
-        weights.append((n, d * f * f))
-        f = f * (1.0 - d * f)
+def _sym_eigs(matrix: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
 
 
 def spectral_sets(moments: MomentTables, shift: float = 0.0) -> SpectralSets:
     """Candidate spectra of both forms with recursion scalars at ``shift``."""
     levels_raw, levels_centered = [], []
-    for _, da, db in _level_matrices(moments, shift):
-        levels_raw.append(np.linalg.eigvalsh(0.5 * (da + da.T)))
-        levels_centered.append(np.linalg.eigvalsh(0.5 * (db + db.T)))
+    for level in _recursion(moments, shift):
+        levels_raw.append(_sym_eigs(level.pivots[level.n]) + shift)
+        levels_centered.append(_sym_eigs(level.centered()) + shift)
     raw = np.sort(np.concatenate(levels_raw))
     centered = np.sort(np.concatenate([raw, *levels_centered]))
     return SpectralSets(shift, levels_raw, levels_centered, raw, centered)
@@ -315,14 +334,15 @@ def spectrum_distance(moments: MomentTables, candidate: float, kind: Kind) -> fl
     scalars evaluated at the candidate itself.
 
     Zero (up to tolerance) exactly when some level matrix, evaluated at the
-    candidate, has the candidate as an eigenvalue; for the centered form
-    both level families count.
+    candidate, has the candidate as an eigenvalue; the level pivots are
+    shifted by the candidate, so that is their smallest eigenvalue in
+    magnitude.  For the centered form both level families count.
     """
     best = np.inf
-    for _, da, db in _level_matrices(moments, candidate):
-        eigs = np.linalg.eigvalsh(0.5 * (da + da.T))
-        best = min(best, float(np.abs(eigs - candidate).min()))
+    for level in _recursion(moments, candidate):
+        mats = [level.pivots[level.n]]
         if kind is Kind.VARIANCE:
-            eigs = np.linalg.eigvalsh(0.5 * (db + db.T))
-            best = min(best, float(np.abs(eigs - candidate).min()))
+            mats.append(level.centered())
+        for mat in mats:
+            best = min(best, float(np.abs(_sym_eigs(mat)).min()))
     return best

@@ -12,10 +12,11 @@ representers, so each projection cycle makes one structured solve.
 
 The ladder has three rungs: a deterministic approximation that replaces
 every representer by its expectation, a first approximation that reuses
-the deterministic nonnegativity multipliers inside the full Gram step, and
-an optional fixed-point iteration of the projection cycle.  No rung is
-claimed to converge; every result carries its verified optimality report
-and the iteration records its residual history honestly.
+the deterministic nonnegativity multipliers inside the full Gram step
+(cycle 0 of :func:`iterate`), and an optional fixed-point iteration of the
+projection cycle.  No rung is claimed to converge; every result carries
+its verified optimality report and the iteration records its residual
+history honestly.
 
 Every problem-level function takes a :class:`~reinsqp.portfolio.Form`.
 ``Form.MIN_VARIANCE`` (mean >= level, centered operator, all weights
@@ -144,17 +145,13 @@ def l_gram(
     book: ContractBook,
     config: ConstraintConfig,
     moments: MomentTables | None = None,
-    reps: Representers | None = None,
-    solver: FormSolver | None = None,
     kind: Kind = Kind.VARIANCE,
 ) -> RepresenterGram:
     """Build the representer Gram system with one solve per row."""
     if moments is None:
         moments = compute_moments(tree, book)
-    if reps is None:
-        reps = representers(tree, book, config)
-    if solver is None:
-        solver = FormSolver(tree, book, moments, config, kind)
+    reps = representers(tree, book, config)
+    solver = FormSolver(tree, book, moments, config, kind)
     solved = Representers(solver.solve(reps.mean), [solver.solve(r) for r in reps.roe])
     inv_gram = np.array([[inner_product(tree, row, image) for image in solved.all_rows()]
                          for row in reps.all_rows()])
@@ -276,9 +273,8 @@ def theta(
         leaf_scalar(kind, tree, book, l, plan.stage(l)) if l != k else None
         for l in range(tree.last_issue + 1)
     ]
-    positions, bounds = _project_stage(
-        tree, book, moments, reps, k, roe_weights, mean_weight, plan, kind, scalars
-    )
+    weighted = reps.combine(roe_weights, mean_weight)
+    positions, bounds = _project_stage(tree, book, moments, k, weighted, plan, kind, scalars)
     return positions if sign > 0 else bounds
 
 
@@ -286,22 +282,18 @@ def _project_stage(
     tree: ScenarioTree,
     book: ContractBook,
     moments: MomentTables,
-    reps: Representers,
     k: int,
-    roe_weights: np.ndarray,
-    mean_weight: float,
+    weighted: PortfolioProcess,
     plan: PortfolioProcess,
     kind: Kind,
     scalars: list[np.ndarray | None],
 ) -> tuple[AdaptedVariable, AdaptedVariable]:
     """Both parts of the stage-k projection, from one argument and one
-    nodewise solve stacked over the stage's nodes; ``scalars[l]`` is the
-    leaf scalar of the plan's stage l (unused at l = k), whose images
-    couple stage l into stage k."""
-    arg = mean_weight * reps.mean.stage(k).values.copy()
-    for t, w in enumerate(roe_weights):
-        if w != 0.0:
-            arg = arg + w * reps.roe[t].stage(k).values
+    nodewise solve stacked over the stage's nodes; ``weighted`` is the
+    weighted representer sum, and ``scalars[l]`` the leaf scalar of the
+    plan's stage l (unused at l = k), whose images couple stage l into
+    stage k."""
+    arg = weighted.stage(k).values
     ma = moments.second_moment[k]
     if kind is Kind.VARIANCE:
         rank_one = ma - moments.covariance[k]
@@ -332,6 +324,7 @@ def _projection_cycle(
     weights = _multiplier_step(gram, r, levels, form)
     roe_w, mean_w = weights[:-1], float(weights[-1])
     relaxed = gram.solved.combine(roe_w, mean_w) + solved_nu
+    weighted = gram.reps.combine(roe_w, mean_w)
     scalars = [
         leaf_scalar(kind, tree, book, l, relaxed.stage(l))
         for l in range(tree.last_issue + 1)
@@ -339,50 +332,13 @@ def _projection_cycle(
     plan_stages, nu_stages = [], []
     for k in range(tree.last_issue + 1):
         positions, bounds = _project_stage(
-            tree, book, moments, gram.reps, k, roe_w, mean_w, relaxed, kind, scalars
+            tree, book, moments, k, weighted, relaxed, kind, scalars
         )
         plan_stages.append(positions)
         nu_stages.append(bounds)
     plan = PortfolioProcess(tree, plan_stages)
     nu_new = PortfolioProcess(tree, nu_stages)
     return MultiplierSet(roe_w, mean_w, nu_new), plan, relaxed
-
-
-@dataclass
-class FirstApproximation:
-    """First full-information approximation and its ingredients."""
-
-    plan: PortfolioProcess
-    relaxed_plan: PortfolioProcess
-    multipliers: MultiplierSet
-    deterministic: DeterministicSolution
-    gram: RepresenterGram
-
-
-def first_approximation(
-    tree: ScenarioTree,
-    book: ContractBook,
-    config: ConstraintConfig,
-    moments: MomentTables | None = None,
-    deterministic: DeterministicSolution | None = None,
-    gram: RepresenterGram | None = None,
-    form: Form = Form.MIN_VARIANCE,
-) -> FirstApproximation:
-    """Run the ladder once: deterministic multipliers seed the Gram step,
-    a governing-form solve produces the relaxed plan, and the projection
-    split restores signs."""
-    if moments is None:
-        moments = compute_moments(tree, book)
-    if gram is None:
-        gram = l_gram(tree, book, config, moments, kind=form.kind)
-    if deterministic is None:
-        deterministic = deterministic_solution(
-            tree, book, config, moments, gram.reps, form
-        )
-    mults, plan, relaxed = _projection_cycle(
-        tree, book, config, moments, gram, deterministic.multipliers.bounds, form
-    )
-    return FirstApproximation(plan, relaxed, mults, deterministic, gram)
 
 
 def _worst(*terms) -> float:
@@ -523,42 +479,41 @@ def iterate(
     moments: MomentTables | None = None,
     form: Form = Form.MIN_VARIANCE,
 ) -> IterationResult:
-    """First approximation plus up to ``max_iter`` projection cycles.
+    """The first approximation plus up to ``max_iter`` projection cycles.
 
-    Each cycle feeds the latest nonnegativity multipliers back into the
-    Gram step.  The residual history is recorded as computed; any material
-    increase, or a residual that stops being finite, raises the
-    non-monotone flag (numpy's floating-point warnings stay silent) but
-    does not stop the loop.  The result is the cycle with the lowest finite KKT
-    total, the first of equals, and claims no convergence beyond its
-    report.  A plan above a variance cap raises :class:`Infeasible` if the
-    ladder converged, else :class:`NumericalFailure`.  The max-mean form is
-    solved by :func:`iterate_max_mean`, which runs this uncapped at each
-    floor.
+    The deterministic solution's nonnegativity multipliers seed cycle 0,
+    whose plan is the first approximation; each later cycle feeds the
+    latest ones back into the Gram step.  The residual history is recorded
+    as computed; any material increase, or a residual that stops being
+    finite, raises the non-monotone flag (numpy's floating-point warnings
+    stay silent) but does not stop the loop.  The result is the cycle with
+    the lowest finite KKT total, the first of equals, and claims no
+    convergence beyond its report.  A plan above a variance cap raises
+    :class:`Infeasible` if the ladder converged, else
+    :class:`NumericalFailure`.  The max-mean form is solved by
+    :func:`iterate_max_mean`, which runs this uncapped at each floor.
     """
     if form is Form.MAX_MEAN:
         raise InputError("the max-mean form is solved by iterate_max_mean")
     if moments is None:
         moments = compute_moments(tree, book)
-    first = first_approximation(tree, book, config, moments, form=form)
-    gram = first.gram
-    mults = first.multipliers
-    report = kkt_verify(tree, book, config, first.plan, mults, form, reps=gram.reps, tol=tol)
-    best = dict(plan=first.plan, relaxed_plan=first.relaxed_plan, multipliers=mults,
-                report=report)
-    history = [report.total]
+    gram = l_gram(tree, book, config, moments, kind=form.kind)
+    det = deterministic_solution(tree, book, config, moments, gram.reps, form)
+    mults, best, history = det.multipliers, None, []
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
-            if report.converged:
-                break
+        for _ in range(max_iter + 1):
             mults, plan, relaxed = _projection_cycle(
                 tree, book, config, moments, gram, mults.bounds, form
             )
             report = kkt_verify(tree, book, config, plan, mults, form, reps=gram.reps, tol=tol)
             history.append(report.total)
-            # a finite total below every earlier one (NaN compares false)
-            if np.isfinite(report.total) and not best["report"].total <= report.total:
+            # cycle 0, or a finite total below every earlier one (NaN
+            # compares false)
+            if best is None or (np.isfinite(report.total)
+                                and not best["report"].total <= report.total):
                 best = dict(plan=plan, relaxed_plan=relaxed, multipliers=mults, report=report)
+            if report.converged:
+                break
     steps = zip(history, history[1:])
     grew = any(b > a * (1.0 + RESIDUAL_JITTER) or not np.isfinite(b) for a, b in steps)
     res = IterationResult(
@@ -569,7 +524,7 @@ def iterate(
         non_monotone=grew,
         near_singular=gram.near_singular,
         fallbacks=gram.solver.fallbacks,
-        deterministic=first.deterministic,
+        deterministic=det,
     )
     cap = config.variance_cap
     if cap is not None:
@@ -579,8 +534,9 @@ def iterate(
 
 
 def _require_converged(floor: float, cap: float):
-    """The ladder's check for :func:`oracle.cap_verdict` and the max-mean
-    floor 0: only a converged plan shows what variance is attainable."""
+    """The ladder's check for :func:`oracle.cap_verdict` and for every floor
+    of the max-mean search: only a converged plan shows what variance is
+    attainable."""
 
     def check(res: IterationResult, var: float) -> None:
         if not res.converged:
@@ -607,9 +563,9 @@ def iterate_max_mean(
     :class:`IterationResult`.  The ladder's variances need not be exactly
     monotone in the floor, so the returned floor is only as good as the
     recorded optimality reports; the trace keeps every (floor, variance)
-    pair evaluated.  The search starts only from a converged floor-0
-    ladder, else raises a numerical failure; a cap below that ladder's
-    variance is infeasible.
+    pair evaluated.  The search goes on only over converged ladders: the
+    first floor whose ladder did not converge raises a numerical failure.
+    A cap below the floor-0 ladder's variance is infeasible.
     """
     cap = config.variance_cap
     if cap is None:
@@ -619,9 +575,9 @@ def iterate_max_mean(
     def solve_at(floor: float) -> tuple[IterationResult, float, float]:
         cfg = dataclasses.replace(config, mean_floor=floor, variance_cap=None)
         res = iterate(tree, book, cfg, max_iter=max_iter, tol=tol, moments=moments)
-        return res, variance_final(tree, book, res.plan), mean_final(tree, book, res.plan)
+        var = variance_final(tree, book, res.plan)
+        _require_converged(floor, cap)(res, var)
+        return res, var, mean_final(tree, book, res.plan)
 
     rows, levels = oracle.constraint_rows(tree, book, config)
-    return oracle.max_mean_floor(
-        solve_at, cap, rows, levels, check_floor0=_require_converged(0.0, cap)
-    )
+    return oracle.max_mean_floor(solve_at, cap, rows, levels)

@@ -263,15 +263,14 @@ def max_mean_floor(
     rows: np.ndarray,
     levels: np.ndarray,
     bisect_tol: float = BISECTION_TOL,
-    check_floor0: Callable[[Any, float], None] | None = None,
 ) -> MaxMeanResult:
     """Search the mean floor of the min-variance form for the largest one
     whose variance meets the cap.
 
     ``solve_at(floor)`` solves the min-variance form at that floor and
-    returns ``(result, variance, mean)``.  The search relies on the optimal
-    variance being nondecreasing in the floor.  The floor-0 solve must pass
-    ``check_floor0(result, variance)``, at any variance, then
+    returns ``(result, variance, mean)``, or raises to refuse its answer,
+    which ends the search.  The search relies on the optimal variance being
+    nondecreasing in the floor.  The floor-0 solve must pass
     :func:`cap_verdict`.  From floor 0 the floor doubles until the variance
     reaches the cap or the floor reaches the largest attainable mean of
     ``rows`` and ``levels``; a cap still slack there returns that floor
@@ -287,8 +286,6 @@ def max_mean_floor(
 
     lo = 0.0
     res_lo, var_lo, mean_lo = visit(lo)
-    if check_floor0 is not None:
-        check_floor0(res_lo, var_lo)
     cap_verdict(res_lo, var_lo, cap, bisect_tol)
     e_max = max_attainable_mean(rows, levels)
     hi = max(1.0, 2 * abs(mean_lo))

@@ -133,7 +133,10 @@ def second_moment_final(
 
 
 def variance_final(tree: ScenarioTree, book: ContractBook, plan: PortfolioProcess) -> float:
-    u = final_utility_rv(tree, book, plan)
+    return _variance(tree, final_utility_rv(tree, book, plan))
+
+
+def _variance(tree: ScenarioTree, u: AdaptedVariable) -> float:
     m = tree.expectation(u)
     return float(tree.expectation(AdaptedVariable(u.depth, (u.values - m) ** 2)))
 
@@ -189,15 +192,15 @@ def evaluate_constraints(
     being initial equity plus accumulated utility.
     """
     config.check_horizon(tree)
+    # U(t) once per t: the growths, equities, mean and variance all read it
+    acc = [utility_process(tree, book, plan, t) for t in range(tree.horizon + 1)]
     roe = np.zeros(tree.horizon)
     for t in range(tree.horizon):
-        growth = float(tree.expectation(utility_growth(tree, book, plan, t)))
-        equity = config.initial_equity + float(
-            tree.expectation(utility_process(tree, book, plan, t))
-        )
-        roe[t] = growth - config.roe_rates[t] * equity
-    mean = mean_final(tree, book, plan)
-    var = variance_final(tree, book, plan)
+        growth = AdaptedVariable(t + 1, acc[t + 1].values - tree.lift(acc[t], t + 1).values)
+        equity = config.initial_equity + float(tree.expectation(acc[t]))
+        roe[t] = float(tree.expectation(growth)) - config.roe_rates[t] * equity
+    mean = float(tree.expectation(acc[tree.horizon]))
+    var = _variance(tree, acc[tree.horizon])
     var_slack = None if config.variance_cap is None else config.variance_cap - var
     return ConstraintReport(
         roe_slacks=roe,

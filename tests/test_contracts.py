@@ -72,20 +72,18 @@ class TestMomentTables:
         mom = compute_moments(coin2.tree, coin2.book)
         # E(u(0)|F_1) takes values 3 and 1, so its raw second moment is 5
         np.testing.assert_allclose(mom.cond_second_moment[1][0], [[5.0]])
-        np.testing.assert_allclose(mom.cond_covariance[1][0], [[1.0]])
         # conditioning at the trivial depth collapses to the squared mean
         np.testing.assert_allclose(mom.cond_second_moment[0][0], [[4.0]])
-        np.testing.assert_allclose(mom.cond_covariance[0][0], [[0.0]])
 
     def test_depth_k_table_for_generation_k_is_degenerate(self):
         # E(u(k)|F_k) is constant whenever H1 holds, so the depth-k
-        # conditional covariance of generation k must vanish
+        # conditional second moment of generation k is its squared mean
         rng = np.random.default_rng(11)
         inst = random_instance(rng)
         mom = compute_moments(inst.tree, inst.book)
         for k in range(inst.tree.last_issue + 1):
             np.testing.assert_allclose(
-                mom.cond_covariance[k][k], np.zeros_like(mom.cond_covariance[k][k]),
+                mom.cond_second_moment[k][k], np.outer(mom.mean[k], mom.mean[k]),
                 atol=1e-10,
             )
 

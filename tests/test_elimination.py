@@ -68,6 +68,37 @@ class TestSpectralSets:
         # the centered candidate set carries the raw one along
         np.testing.assert_allclose(sets.centered, [0.5, 1.0, 2.0, 2.5])
 
+    def test_levels_are_the_elimination_pivots(self):
+        # at shift 0 the raw spectra are those of the solver's own level
+        # pivots, bit for bit, from the top level down
+        rng = np.random.default_rng(101)
+        for _ in range(20):
+            inst = random_instance(rng)
+            mom = compute_moments(inst.tree, inst.book)
+            coeffs = elimination_coefficients(mom, 0.0)
+            sets = spectral_sets(mom, 0.0)
+            kmax = mom.last_issue
+            assert len(sets.levels_raw) == kmax + 1
+            for n, eigs in zip(range(kmax, -1, -1), sets.levels_raw):
+                pivot = coeffs.pivots[n][n]
+                assert np.array_equal(eigs, np.linalg.eigvalsh(0.5 * (pivot + pivot.T)))
+
+    def test_sets_end_where_the_elimination_raises(self):
+        # a shift in the top level's spectrum: the spectra stop at that
+        # level, which holds the shift, and the solver raises there
+        rng = np.random.default_rng(101)
+        for _ in range(20):
+            inst = random_instance(rng)
+            mom = compute_moments(inst.tree, inst.book)
+            kmax = mom.last_issue
+            shift = float(np.linalg.eigvalsh(mom.second_moment[kmax])[0])
+            sets = spectral_sets(mom, shift)
+            assert len(sets.levels_raw) == len(sets.levels_centered) == 1
+            assert np.abs(sets.levels_raw[0] - shift).min() <= 1e-12 * abs(shift)
+            with pytest.raises(SingularPivot) as exc:
+                elimination_coefficients(mom, shift)
+            assert exc.value.level == kmax
+
     def test_dense_eigenvalues_land_in_the_sets(self, coin2):
         # membership is judged with the recursion scalars re-evaluated at
         # each candidate, which is what spectrum_distance does

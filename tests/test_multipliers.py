@@ -18,7 +18,6 @@ from reinsqp.multipliers import (
     MultiplierSet,
     assemble_solution,
     deterministic_solution,
-    first_approximation,
     iterate,
     iterate_max_mean,
     kkt_verify,
@@ -179,8 +178,9 @@ class TestTheta:
 
 
 class TestFirstApproximation:
+    # the first approximation is the ladder's cycle 0
     def test_coin_plan_and_multipliers(self, coin2):
-        fa = first_approximation(coin2.tree, coin2.book, coin2.config)
+        fa = iterate(coin2.tree, coin2.book, coin2.config, max_iter=0)
         np.testing.assert_allclose(fa.plan.stage(0).values, [[4 / 3]], atol=1e-8)
         np.testing.assert_allclose(
             fa.plan.stage(1).values, [[0.0], [1.0]], atol=1e-8
@@ -191,7 +191,7 @@ class TestFirstApproximation:
     def test_coin_projection_split(self, coin2):
         # the relaxed plan keeps the negative branch that the bound
         # multiplier absorbs
-        fa = first_approximation(coin2.tree, coin2.book, coin2.config)
+        fa = iterate(coin2.tree, coin2.book, coin2.config, max_iter=0)
         np.testing.assert_allclose(
             fa.relaxed_plan.stage(1).values, [[-1 / 3], [1.0]], atol=1e-8
         )
@@ -204,17 +204,14 @@ class TestFirstApproximation:
 
     def test_cycle_matches_theta_with_one_solve_per_node(self, coin2, monkeypatch):
         moments = compute_moments(coin2.tree, coin2.book)
-        gram = l_gram(coin2.tree, coin2.book, coin2.config, moments)
-        det = deterministic_solution(coin2.tree, coin2.book, coin2.config, moments, gram.reps)
+        reps = representers(coin2.tree, coin2.book, coin2.config)
         calls = []
         solve = multipliers.nonneg_qp
         monkeypatch.setattr(
             multipliers, "nonneg_qp",
             lambda *a: calls.append(np.atleast_2d(a[1]).shape[0]) or solve(*a),
         )
-        fa = first_approximation(
-            coin2.tree, coin2.book, coin2.config, moments, det, gram
-        )
+        fa = iterate(coin2.tree, coin2.book, coin2.config, max_iter=0, moments=moments)
         # one Gram step, then one stacked solve per stage with one row per
         # node, serving both parts
         tree = coin2.tree
@@ -222,7 +219,7 @@ class TestFirstApproximation:
         for k in range(tree.last_issue + 1):
             for sign, part in ((+1, fa.plan), (-1, fa.multipliers.bounds)):
                 alone = theta(
-                    tree, coin2.book, moments, gram.reps, k, sign,
+                    tree, coin2.book, moments, reps, k, sign,
                     fa.multipliers.roe, fa.multipliers.mean, fa.relaxed_plan,
                 )
                 assert np.array_equal(alone.values, part.stage(k).values)
@@ -230,7 +227,7 @@ class TestFirstApproximation:
     def test_coin_mean_equality_shift(self, coin2):
         # the raw-form equality weight carries the floor on top of the
         # centered weight
-        fa = first_approximation(coin2.tree, coin2.book, coin2.config, form=Form.FIXED_MEAN)
+        fa = iterate(coin2.tree, coin2.book, coin2.config, max_iter=0, form=Form.FIXED_MEAN)
         np.testing.assert_allclose(fa.plan.stage(0).values, [[4 / 3]], atol=1e-8)
         assert fa.multipliers.mean == pytest.approx(1 / 3 + 3.0, abs=1e-8)
 
@@ -322,15 +319,21 @@ class TestKktVerify:
 
 class TestIterate:
     def test_zero_budget_returns_first_approximation(self, coin2):
-        fa = first_approximation(coin2.tree, coin2.book, coin2.config)
+        # the first approximation: one projection cycle seeded by the
+        # deterministic nonnegativity multipliers
+        moments = compute_moments(coin2.tree, coin2.book)
+        gram = l_gram(coin2.tree, coin2.book, coin2.config, moments)
+        det = deterministic_solution(coin2.tree, coin2.book, coin2.config, moments, gram.reps)
+        _, plan, _ = multipliers._projection_cycle(
+            coin2.tree, coin2.book, coin2.config, moments, gram,
+            det.multipliers.bounds, Form.MIN_VARIANCE,
+        )
         res = iterate(coin2.tree, coin2.book, coin2.config, max_iter=0)
         assert res.iterations == 0
         assert len(res.history) == 1
         assert not res.converged
         for k in range(2):
-            np.testing.assert_array_equal(
-                res.plan.stage(k).values, fa.plan.stage(k).values
-            )
+            np.testing.assert_array_equal(res.plan.stage(k).values, plan.stage(k).values)
 
     def test_loose_tolerance_stops_immediately(self, coin2):
         res = iterate(coin2.tree, coin2.book, coin2.config, max_iter=5, tol=0.2)
@@ -339,11 +342,9 @@ class TestIterate:
         assert len(res.history) == 1
 
     def test_first_residual_is_the_verified_one(self, coin2):
-        fa = first_approximation(coin2.tree, coin2.book, coin2.config)
         res = iterate(coin2.tree, coin2.book, coin2.config, max_iter=0)
         report = kkt_verify(
-            coin2.tree, coin2.book, coin2.config, fa.plan, fa.multipliers,
-            reps=fa.gram.reps,
+            coin2.tree, coin2.book, coin2.config, res.plan, res.multipliers,
         )
         assert res.history[0] == pytest.approx(report.total, rel=1e-12)
 
@@ -482,4 +483,17 @@ class TestIterateMaxMean:
         with pytest.raises(NumericalFailure, match="floor 0 did not converge") as exc:
             iterate_max_mean(inst.tree, inst.book, config, max_iter=25)
         assert "KKT total" in str(exc.value)
+        assert "after 25 cycles" in str(exc.value)
+
+    def test_unconverged_floor_stops_the_search(self):
+        # seed-101 acceptance instance 13 (two issue stages): the floor-0
+        # ladder converges under the cap, but the floor-1 ladder does not
+        # within 25 cycles, so its variance cannot steer the search
+        rng = np.random.default_rng(101)
+        inst = [random_instance(rng) for _ in range(14)][13]
+        sol = dense_qp(inst.tree, inst.book, inst.config, Form.MIN_VARIANCE)
+        config = dataclasses.replace(inst.config, variance_cap=2 * sol.variance_value)
+        assert dense_qp(inst.tree, inst.book, config, Form.MAX_MEAN).mean_value > 4.0
+        with pytest.raises(NumericalFailure, match="floor 1 did not converge") as exc:
+            iterate_max_mean(inst.tree, inst.book, config, max_iter=25)
         assert "after 25 cycles" in str(exc.value)

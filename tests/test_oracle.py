@@ -283,29 +283,25 @@ class TestMaxMeanFloor:
             max_mean_floor(squared_variance(1.0), 0.5, CAPPED_ROWS, CAPPED_LEVELS)
 
     def test_floor_zero_check_runs_before_the_verdict(self):
+        # a floor solve that refuses its own answer raises out of the search:
+        # at floor 0 before the cap verdict, and at any later floor
         seen = []
 
-        def check(result, variance):
-            seen.append((result, variance))
-            raise NumericalFailure("floor 0 not trusted")
+        def refusing(offset: float, at: float):
+            def solve_at(e):
+                seen.append(e)
+                if e == at:
+                    raise NumericalFailure(f"floor {e!r} not trusted")
+                return squared_variance(offset)(e)
 
-        with pytest.raises(NumericalFailure, match="not trusted"):
-            max_mean_floor(
-                squared_variance(1.0), 0.5, CAPPED_ROWS, CAPPED_LEVELS, check_floor0=check
-            )
-        assert seen == [("solve at 0.0", 1.0)]
-        # a feasible floor 0 consults the check too, and a passing check
-        # lets the search go on
-        with pytest.raises(NumericalFailure, match="not trusted"):
-            max_mean_floor(
-                squared_variance(), 9.0, CAPPED_ROWS, CAPPED_LEVELS, check_floor0=check
-            )
-        assert seen[1:] == [("solve at 0.0", 0.0)]
-        out = max_mean_floor(
-            squared_variance(), 9.0, CAPPED_ROWS, CAPPED_LEVELS,
-            check_floor0=lambda *seen_at: seen.append(seen_at),
-        )
-        assert out.cap_binding and seen[2:] == [("solve at 0.0", 0.0)]
+            return solve_at
+
+        with pytest.raises(NumericalFailure, match="floor 0.0 not trusted"):
+            max_mean_floor(refusing(1.0, 0.0), 0.5, CAPPED_ROWS, CAPPED_LEVELS)
+        assert seen == [0.0]
+        with pytest.raises(NumericalFailure, match="floor 1.0 not trusted"):
+            max_mean_floor(refusing(0.0, 1.0), 9.0, CAPPED_ROWS, CAPPED_LEVELS)
+        assert seen[1:] == [0.0, 1.0]
 
     def test_unbounded_mean_takes_the_doubling_bracket(self):
         assert max_attainable_mean(OPEN_ROWS, OPEN_LEVELS) is None

@@ -9,10 +9,11 @@ operators or their elimination.  The two routes do share the tree, the
 contract book, the representer processes (flattened here into constraint
 rows), the active-set engine of ``qp`` through :func:`form_qp` (the
 ladder's deterministic rung calls it too) and, for the max-mean form, the
-floor search :func:`max_mean_floor`.  Agreement between the routes is
-therefore evidence about the structured factorization and the multiplier
-ladder, not about those shared parts.  Each dense answer passes its own
-optimality check on the Gram matrix and rows before it is returned.
+floor search :func:`max_mean_floor` with the mean range that ``qp``'s
+simplex gives it.  Agreement between the routes is therefore evidence
+about the structured factorization and the multiplier ladder, not about
+those shared parts.  Each dense answer passes its own optimality check on
+the Gram matrix and rows before it is returned.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .contracts import ContractBook
 from .errors import Infeasible, InputError, NumericalFailure
@@ -33,7 +33,7 @@ from .operators import (
     representers,
 )
 from .portfolio import ConstraintConfig, Form
-from .qp import QPResult, solve_qp
+from .qp import QPResult, lp_maximum, solve_qp
 from .tree import PortfolioProcess, ScenarioTree
 
 #: relative residual required of a dense linear solve
@@ -211,21 +211,8 @@ def constraint_rows(
 
 def max_attainable_mean(rows: np.ndarray, levels: np.ndarray) -> float | None:
     """Supremum of the mean functional over the profitability-and-sign
-    constraints; None when unbounded."""
-    res = linprog(
-        c=-rows[-1],
-        A_ub=-rows[:-1],
-        b_ub=-levels[:-1],
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status == 3:
-        return None
-    if res.status == 2:
-        raise Infeasible("constraint set is empty")
-    if not res.success:
-        raise Infeasible(f"mean-range probe failed: {res.message}")
-    return float(-res.fun)
+    constraints; None when unbounded, ``Infeasible`` when they cannot hold."""
+    return lp_maximum(rows[-1], rows[:-1], levels[:-1])
 
 
 def cap_verdict(

@@ -1,4 +1,5 @@
-"""Active-set solvers for the package's quadratic programs.
+"""Active-set solvers for the package's quadratic programs, and the dense
+simplex that starts them.
 
 Two entry points share the same philosophy (strictly convex objectives,
 explicit active sets, lowest-index anti-cycling, and a full step going
@@ -15,7 +16,18 @@ straight to the multiplier test of the solve that produced it):
     A primal active-set method for dense quadratic programs over the
     nonnegative orthant with equality and inequality rows, used by the
     brute-force oracle.  Its start is the vertex that ``phase1_point``
-    finds with a plain LP probe (or certifies infeasibility).
+    finds (or ``Infeasible``).
+
+``phase1_point`` and ``lp_maximum`` share one dense tableau simplex on the
+standard form ``[x, surplus]``, with artificials where no surplus column
+can start the basis.  The entering column has the most negative reduced
+cost (Dantzig) until the first pivot with a zero step, and the lowest
+index after it (Bland, Math. Oper. Res. 2, 1977), which ends cycling; the
+leaving row is the minimum ratio, ties going to the lowest basic column.
+A system is infeasible when the least sum of artificials exceeds
+``PHASE1_TOL`` times the largest |right-hand side|, so the verdict and the
+vertex do not depend on the units of the levels.  Vertices have exact
+zeros off the basis.
 """
 
 from __future__ import annotations
@@ -23,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import Infeasible, MaxPivotsExceeded, NotSPD
 
@@ -132,6 +143,126 @@ class QPResult:
     n_pivots: int
 
 
+#: phase 1 declares a system infeasible when its least sum of artificials
+#: exceeds this fraction of the largest |right-hand side|
+PHASE1_TOL = 1e-10
+
+
+class _Tableau:
+    """Dense simplex tableau of {x >= 0, a_eq x = b_eq, a_in x >= b_in}.
+
+    Columns are ``[x, surplus, artificials, rhs]`` and the last row holds
+    the reduced costs.  Rows are negated where needed so that the
+    right-hand side is nonnegative; an inequality row whose level is <= 0
+    starts on its surplus column, every other row on an artificial.
+    """
+
+    def __init__(self, a_eq, b_eq, a_in, b_in, n: int):
+        a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
+        a_in = np.zeros((0, n)) if a_in is None else np.asarray(a_in, dtype=float)
+        b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+        b_in = np.zeros(0) if b_in is None else np.asarray(b_in, dtype=float)
+        m_eq, m_in = b_eq.size, b_in.size
+        self.n, self.real = n, n + m_in
+        on_surplus = np.concatenate([np.zeros(m_eq, dtype=bool), b_in <= 0.0])
+        artificial = np.flatnonzero(~on_surplus)
+        t = np.zeros((m_eq + m_in + 1, self.real + artificial.size + 1))
+        t[:m_eq, :n] = a_eq
+        t[m_eq:-1, :n] = a_in
+        t[m_eq:-1, n : self.real] = -np.eye(m_in)
+        t[:-1, -1] = np.concatenate([b_eq, b_in])
+        t[:-1] *= np.where(on_surplus | (t[:-1, -1] < 0.0), -1.0, 1.0)[:, None]
+        t[artificial, self.real + np.arange(artificial.size)] = 1.0
+        self.basis = np.empty(m_eq + m_in, dtype=int)
+        self.basis[on_surplus] = n + np.flatnonzero(b_in <= 0.0)
+        self.basis[artificial] = self.real + np.arange(artificial.size)
+        # phase 1 minimizes the sum of the artificials
+        t[-1, : self.real] = -t[artificial, : self.real].sum(axis=0)
+        self.t = t
+        self.b_scale = float(np.abs(t[:-1, -1]).max(initial=0.0))
+        self.pivot_tol = 1e-11 * float(np.abs(t[:-1, : self.real]).max(initial=0.0))
+        self.pivots, self.max_pivots = 0, 50 * (self.real + t.shape[0]) + 1000
+
+    def vertex(self) -> np.ndarray:
+        """The basic solution: the levels on the basis, exact zeros off it."""
+        x = np.zeros(self.t.shape[1] - 1)
+        x[self.basis] = self.t[:-1, -1]
+        return x
+
+    def pivot(self, r: int, e: int) -> None:
+        self.pivots += 1
+        if self.pivots > self.max_pivots:
+            raise MaxPivotsExceeded(f"simplex exceeded {self.max_pivots} pivots")
+        t = self.t
+        t[r] /= t[r, e]
+        col = t[:, e].copy()
+        col[r] = 0.0
+        t -= np.outer(col, t[r])
+        t[:, e] = 0.0
+        t[r, e] = 1.0
+        rhs = t[:-1, -1]
+        rhs[rhs <= 1e-14 * self.b_scale] = 0.0
+        self.basis[r] = e
+
+    def run(self) -> int | None:
+        """Pivot to optimality over the real columns: Dantzig's most
+        negative reduced cost enters until a pivot with a zero step, Bland's
+        lowest index after it; the minimum ratio leaves, ties going to the
+        lowest basic column.  Returns a column along which the objective
+        falls without bound, or None at the optimum."""
+        costs = self.t[-1, : self.real]
+        tol = 1e-11 * float(np.abs(costs).max(initial=0.0))
+        bland = False
+        while True:
+            costs = self.t[-1, : self.real]
+            if bland:
+                entering = np.flatnonzero(costs < -tol)
+                if not entering.size:
+                    return None
+                e = int(entering[0])
+            else:
+                e = int(np.argmin(costs))
+                if not costs[e] < -tol:
+                    return None
+            col = self.t[:-1, e]
+            rising = col > self.pivot_tol
+            if not rising.any():
+                return e
+            ratios = np.full(col.shape, np.inf)
+            ratios[rising] = self.t[:-1, -1][rising] / col[rising]
+            ties = np.flatnonzero(ratios == ratios.min())
+            r = int(ties[np.argmin(self.basis[ties])])
+            bland |= bool(ratios[r] == 0.0)
+            self.pivot(r, e)
+
+    def phase1(self) -> np.ndarray:
+        """A vertex of the system, or ``Infeasible``."""
+        self.run()
+        left = self.t[:-1, -1][self.basis >= self.real].sum()
+        if left > PHASE1_TOL * self.b_scale:
+            raise Infeasible("constraint set is empty")
+        return self.vertex()[: self.n]
+
+    def maximum(self, c: np.ndarray) -> float | None:
+        """Phase 2 from the phase-1 vertex: the supremum of c'x, None when
+        unbounded."""
+        for r in np.flatnonzero(self.basis >= self.real)[::-1]:
+            self.t[r, -1] = 0.0  # within PHASE1_TOL of zero
+            j = int(np.argmax(np.abs(self.t[r, : self.real])))
+            if abs(self.t[r, j]) > self.pivot_tol:
+                self.pivot(r, j)
+            else:  # a redundant row
+                self.t = np.delete(self.t, r, axis=0)
+                self.basis = np.delete(self.basis, r)
+        self.t = np.delete(self.t, np.s_[self.real : -1], axis=1)
+        costs = np.zeros(self.real + 1)
+        costs[: self.n] = -c
+        self.t[-1] = costs - costs[self.basis] @ self.t[:-1]
+        if self.run() is not None:
+            return None
+        return float(c @ self.vertex()[: self.n])
+
+
 def phase1_point(
     a_eq: np.ndarray | None,
     b_eq: np.ndarray | None,
@@ -139,23 +270,32 @@ def phase1_point(
     b_in: np.ndarray | None,
     n: int,
 ) -> np.ndarray:
-    """Find any point of {x >= 0, a_eq x = b_eq, a_in x >= b_in} or raise
-    ``Infeasible``."""
-    res = linprog(
-        c=np.zeros(n),
-        A_ub=None if a_in is None else -np.asarray(a_in, dtype=float),
-        b_ub=None if b_in is None else -np.asarray(b_in, dtype=float),
-        A_eq=None if a_eq is None else np.asarray(a_eq, dtype=float),
-        b_eq=None if b_eq is None else np.asarray(b_eq, dtype=float),
-        bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10},
-    )
-    if res.status == 2:
-        raise Infeasible("constraint set is empty")
-    if not res.success:
-        raise Infeasible(f"feasibility probe failed: {res.message}")
-    return np.asarray(res.x, dtype=float)
+    """Find a vertex of {x >= 0, a_eq x = b_eq, a_in x >= b_in} or raise
+    ``Infeasible``.
+
+    Phase 1 of a dense tableau simplex minimizes the sum of artificials
+    (Dantzig's rule, then Bland's after the first zero step).  The system
+    is infeasible when that sum exceeds ``PHASE1_TOL`` times the largest
+    |right-hand side|, with no absolute floor, so the verdict and the
+    vertex's support do not change when every level is scaled.  The
+    vertex has exact zeros off the basis.
+    """
+    return _Tableau(a_eq, b_eq, a_in, b_in, n).phase1()
+
+
+def lp_maximum(c: np.ndarray, a_in: np.ndarray, b_in: np.ndarray) -> float | None:
+    """Supremum of c'x over {x >= 0, a_in x >= b_in}; None when unbounded,
+    ``Infeasible`` when the set is empty.
+
+    Phase 2 continues from :func:`phase1_point`'s tableau: artificials left
+    at level zero leave the basis (or their redundant row is dropped), and
+    the same pivoting rules maximize c'x.  An entering column with no
+    positive entry is a ray along which c'x grows without bound.
+    """
+    c = np.asarray(c, dtype=float)
+    tableau = _Tableau(None, None, a_in, b_in, c.size)
+    tableau.phase1()
+    return tableau.maximum(c)
 
 
 def _independent(rows: np.ndarray) -> bool:

@@ -357,6 +357,14 @@ class TestProcessLevel:
             capture_output=True, text=True, env=env, cwd=ROOT,
         )
 
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        res = subprocess.run(
+            [sys.executable, "-c", "import sys, reinsqp; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, cwd=ROOT,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
     def test_reports_are_byte_identical(self, coin_file):
         for command, *extra in (
             ("solve", "--max-iter", "40", "--seed", "7"),

@@ -323,3 +323,14 @@ class TestMeanRange:
         )
         rows, levels = constraint_rows(coin2.tree, negated, coin2.config)
         assert max_attainable_mean(rows, levels) == pytest.approx(0.0, abs=1e-9)
+
+    def test_unbounded_mean_is_not_an_empty_set(self):
+        # x = 0 is feasible and the ray (0, 0.64, 0, 1) raises the mean
+        # without bound; HiGHS's presolve calls this LP infeasible
+        rows = np.array([
+            [1.1, 0.84, -0.98, -0.46],
+            [1.55, -0.73, 0.19, 0.47],
+            [-0.36, 0.09, -1.56, 0.02],
+        ])
+        levels = np.array([-0.22, -0.21, 0.0])
+        assert max_attainable_mean(rows, levels) is None

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from reinsqp.errors import Infeasible, MaxPivotsExceeded, NotSPD
+from reinsqp.oracle import constraint_rows, max_attainable_mean
 from reinsqp.qp import NonnegQP, nonneg_qp, phase1_point, solve_qp
+
+from conftest import random_instance
 
 
 def random_spd(rng, n, spread=1.0):
@@ -154,6 +158,115 @@ class TestPhase1:
         b_in = np.array([1.0, 0.0])
         with pytest.raises(Infeasible):
             phase1_point(None, None, a_in, b_in, 1)
+
+    @pytest.mark.parametrize("t", [1.0, 1e-11, 1e-20])
+    def test_a_tiny_infeasibility_is_still_infeasible(self, t):
+        # x >= t and -x >= 0 cannot hold together however small t is: the
+        # verdict is relative to the levels, with no absolute floor
+        a_in = np.array([[1.0], [-1.0]])
+        with pytest.raises(Infeasible):
+            phase1_point(None, None, a_in, np.array([t, 0.0]), 1)
+
+    def test_vertex_scales_with_the_levels(self):
+        # the oracle's system on the seed-101 draws, every level scaled by
+        # 10^j: the same vertex, scaled, with exact zeros in the same places
+        rng = np.random.default_rng(101)
+        for _ in range(20):
+            inst = random_instance(rng)
+            rows, levels = constraint_rows(inst.tree, inst.book, inst.config)
+            n = rows.shape[1]
+            base = phase1_point(None, None, rows, levels, n)
+            assert np.count_nonzero(base) <= rows.shape[0]
+            for j in range(-14, 7):
+                t = 10.0**j
+                x = phase1_point(None, None, rows, t * levels, n)
+                np.testing.assert_array_equal(x > 0.0, base > 0.0)
+                np.testing.assert_allclose(x, t * base, rtol=0, atol=1e-13 * t * base.max())
+
+
+def _random_system(rng, i):
+    """Rows with two-decimal entries (so ties and degenerate vertices
+    occur), every third system with a duplicated row, an objective that
+    is bounded over the rows on half the systems, raised levels on a
+    quarter, and up to two equality rows with negative right-hand sides."""
+    m, n = int(rng.integers(1, 7)), int(rng.integers(1, 41))
+    a = np.round(rng.standard_normal((m, n)), 2)
+    b = np.round(rng.standard_normal(m), 2)
+    if i % 3 == 0:
+        k = int(rng.integers(m))
+        a, b = np.vstack([a, a[k]]), np.append(b, b[k])
+    if i % 4 == 1:  # c <= -a'y with y >= 0: bounded when feasible
+        c = -a.T @ rng.uniform(0.0, 1.0, a.shape[0]) - rng.uniform(0.0, 0.1, n)
+    elif i % 4 == 2:
+        c = -np.abs(np.round(rng.standard_normal(n), 2))
+    else:
+        c = np.round(rng.standard_normal(n), 2)
+        if i % 4 == 3:
+            b = b + 2.0
+    m_eq = int(rng.integers(0, 3))
+    a_eq = np.round(rng.standard_normal((m_eq, n)), 2)
+    b_eq = -np.abs(np.round(rng.standard_normal(m_eq), 2))
+    return a, b, c, a_eq, b_eq
+
+
+def _highs(c, a, b, a_eq=None, b_eq=None, presolve=True):
+    return linprog(-c, A_ub=-a, b_ub=-b, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                   method="highs", options={"presolve": presolve})
+
+
+class TestAgainstHiGHS:
+    """The simplex against scipy's HiGHS as an independent reference."""
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(2024)
+        seen = {"infeasible": 0, "unbounded": 0, "bounded": 0}
+        for i in range(300):
+            a, b, c, a_eq, b_eq = _random_system(rng, i)
+            n = a.shape[1]
+            eq = (a_eq, b_eq) if b_eq.size else (None, None)
+            ref = _highs(np.zeros(n), a, b, *eq)
+            assert ref.status in (0, 2), ref.message
+            try:
+                x = phase1_point(a_eq, b_eq, a, b, n)
+            except Infeasible:
+                assert ref.status == 2, f"system {i}: HiGHS finds a point"
+            else:
+                assert ref.status == 0, f"system {i}: HiGHS finds it empty"
+                assert (x >= 0.0).all()
+                assert (a @ x - b).min() >= -1e-9
+                np.testing.assert_allclose(a_eq @ x, b_eq, rtol=0, atol=1e-9)
+
+            # HiGHS's presolve calls some unbounded LPs infeasible; it
+            # decides only where the plain simplex stops undecided
+            ref = _highs(c, a, b, presolve=False)
+            if ref.status not in (0, 2, 3):
+                ref = _highs(c, a, b)
+            rows, levels = np.vstack([a, c]), np.append(b, 0.0)
+            if ref.status == 2:
+                seen["infeasible"] += 1
+                with pytest.raises(Infeasible):
+                    max_attainable_mean(rows, levels)
+            elif ref.status == 3:
+                seen["unbounded"] += 1
+                assert max_attainable_mean(rows, levels) is None, f"system {i}"
+            else:
+                seen["bounded"] += 1
+                top = max_attainable_mean(rows, levels)
+                assert top == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9), f"system {i}"
+        assert min(seen.values()) >= 20, seen
+
+    def test_beale_cycling_example_terminates(self):
+        # Beale (1955): min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 under
+        # 1/4 x4 - 8 x5 - x6 + 9 x7 <= 0, 1/2 x4 - 12 x5 - 1/2 x6 + 3 x7 <= 0
+        # and x6 <= 1, whose degenerate start cycles under Dantzig's rule
+        rows = np.array([
+            [-0.25, 8.0, 1.0, -9.0],
+            [-0.5, 12.0, 0.5, -3.0],
+            [0.0, 0.0, -1.0, 0.0],
+            [0.75, -20.0, 0.5, -6.0],
+        ])
+        levels = np.array([0.0, 0.0, -1.0, 0.0])
+        assert max_attainable_mean(rows, levels) == pytest.approx(1.25, rel=1e-12)
 
 
 class TestSolveQP:

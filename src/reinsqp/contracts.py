@@ -14,6 +14,7 @@ are exact finite sums on the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,11 @@ class ContractBook:
     def final_utility(self, issue_time: int) -> AdaptedVariable:
         """The settled per-contract result of one generation, at the horizon."""
         return self.utility(issue_time, self.tree.horizon)
+
+    @cached_property
+    def settled(self) -> np.ndarray:
+        """Every generation's settled results: ``[leaf, issue_time, contract]``."""
+        return np.stack([self.final_utility(k).values for k in range(self.tree.last_issue + 1)], 1)
 
     def stored_entries(self) -> dict[tuple[int, int], np.ndarray]:
         """The explicitly stored ``(issue_time, t) -> values`` arrays."""

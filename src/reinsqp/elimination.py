@@ -8,8 +8,8 @@ scalar-weighted conditional moment matrix and all off-diagonal blocks
 rescaled by one common factor.  Running this to the bottom yields a lower
 triangular system whose diagonal blocks invert stage by stage, so a full
 solve costs one short recursion on small moment matrices plus, per stage,
-one leaf scalar and one sweep of the tree that conditions all of that
-stage's off-diagonal block images together.
+one leaf scalar and one sweep of the tree: all the off-diagonal block
+images a stage needs form one leaf block, each read off at its own depth.
 
 One top-down recursion serves the solves and the spectra.  Its level
 matrices parameterize the candidate spectra: a number belongs to the
@@ -203,8 +203,7 @@ def forward_eliminate(
         y = diag_block_inverse(kind, coeffs, tree, n, n, xi.stage(n))
         f = coeffs.block_scale[n]
         scalar = leaf_scalar(kind, tree, book, n, y)
-        updates = images(tree, book, [(k, scalar) for k in range(n)])
-        for k, update in enumerate(updates):
+        for k, (update,) in enumerate(images(tree, book, range(n), scalar[:, None])):
             xi.stage(k).values[...] -= f * update
     return xi
 
@@ -224,8 +223,10 @@ def back_substitute(
     for k in range(tree.last_issue + 1):
         acc = xi.stage(k).values.copy()
         f = coeffs.block_scale[k]
-        for image in images(tree, book, [(k, s) for s in scalars]):
-            acc -= f * image
+        if scalars:
+            (stacked,) = images(tree, book, range(k, k + 1), np.column_stack(scalars))
+            for image in stacked:
+                acc -= f * image
         plan.stages[k] = diag_block_inverse(
             kind, coeffs, tree, k, k, AdaptedVariable(k, acc)
         )

@@ -299,9 +299,11 @@ def _project_stage(
         rank_one = ma - moments.covariance[k]
         stage_mean = tree.path_prob[k] @ plan.stage(k).values
         arg = arg + (rank_one @ stage_mean)[None, :]
-    couplings = [(k, s) for l, s in enumerate(scalars) if l != k]
-    for image in images(tree, book, couplings):
-        arg = arg - image
+    couplings = [s for l, s in enumerate(scalars) if l != k]
+    if couplings:
+        (stacked,) = images(tree, book, range(k, k + 1), np.column_stack(couplings))
+        for image in stacked:
+            arg = arg - image
     result = nonneg_qp(ma, arg)
     return AdaptedVariable(k, result.primal), AdaptedVariable(k, result.dual)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import ContractBook
-from .errors import InputError, NumericalFailure
+from .errors import DimensionMismatch, InputError, NumericalFailure
 from .portfolio import (
     ConstraintConfig,
     Kind,
@@ -32,7 +32,7 @@ from .portfolio import (
     utility_growth,
     utility_process,
 )
-from .tree import AdaptedVariable, PortfolioProcess, ScenarioTree, inner_product
+from .tree import AdaptedVariable, PortfolioProcess, ScenarioTree, inner_product, row_dot
 
 #: default cap on the dense coordinate dimension
 DENSE_MAX_DIM = 5000
@@ -46,7 +46,7 @@ def leaf_scalar(
     if x.depth != l:
         raise InputError(f"stage-{l} block input has depth {x.depth}")
     ul = book.final_utility(l).values
-    return _centered(kind, tree, np.sum(ul * tree.lift(x, tree.horizon).values, axis=1))
+    return _centered(kind, tree, row_dot(ul, tree.lift(x, tree.horizon).values))
 
 
 def _centered(kind: Kind, tree: ScenarioTree, scalar: np.ndarray) -> np.ndarray:
@@ -56,12 +56,26 @@ def _centered(kind: Kind, tree: ScenarioTree, scalar: np.ndarray) -> np.ndarray:
 
 
 def images(
-    tree: ScenarioTree, book: ContractBook, pairs: list[tuple[int, np.ndarray]]
+    tree: ScenarioTree, book: ContractBook, stages: range, scalars: np.ndarray
 ) -> list[np.ndarray]:
-    """``E[u_k s | F_k]`` for every (k, leaf scalar s) pair, all conditioned
-    in one sweep of the tree."""
-    blocks = [book.final_utility(k).values * s[:, None] for k, s in pairs]
-    return tree.condition_stack(tree.horizon, blocks, [k for k, _ in pairs])
+    """``E[u_k s | F_k]`` for every stage k of the contiguous run ``stages``
+    and every column s of the ``(leaves, m)`` leaf scalars.
+
+    All products are one leaf block, swept up the tree once; entry i has
+    shape ``(m, n_nodes(k), n_contracts)`` and is read off at depth
+    k = ``stages[i]``.
+    """
+    if not stages or stages.step != 1 or stages.start < 0 or stages[-1] > tree.last_issue:
+        raise DimensionMismatch(f"{stages} is not a nonempty run of issue stages")
+    leaves = tree.n_nodes(tree.horizon)
+    if len(scalars) != leaves:
+        raise DimensionMismatch(f"{len(scalars)} leaf scalars for {leaves} leaves")
+    block = np.einsum("lm,lkc->lmkc", scalars, book.settled[:, stages.start : stages.stop])
+    levels = tree.conditional_levels(block.reshape(leaves, -1), tree.horizon, stages.start)
+    return [
+        np.ascontiguousarray(level.reshape(-1, *block.shape[1:])[:, :, i].swapaxes(0, 1))
+        for i, level in enumerate(levels[: len(stages)])
+    ]
 
 
 def apply(
@@ -74,8 +88,8 @@ def apply(
     generation-k settled results.
     """
     weight = _centered(kind, tree, final_utility_rv(tree, book, plan).values)
-    stages = images(tree, book, [(k, weight) for k in range(tree.last_issue + 1)])
-    return PortfolioProcess(tree, [AdaptedVariable(k, v) for k, v in enumerate(stages)])
+    stages = images(tree, book, range(tree.last_issue + 1), weight[:, None])
+    return PortfolioProcess(tree, [AdaptedVariable(k, v) for k, (v,) in enumerate(stages)])
 
 
 @dataclass

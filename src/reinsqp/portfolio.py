@@ -17,7 +17,7 @@ import numpy as np
 
 from .contracts import ContractBook
 from .errors import InputError
-from .tree import AdaptedVariable, PortfolioProcess, ScenarioTree
+from .tree import AdaptedVariable, PortfolioProcess, ScenarioTree, row_dot
 
 #: absolute feasibility tolerance for constraint slacks
 FEAS_TOL = 1e-8
@@ -101,7 +101,7 @@ def utility_process(
             continue
         u = book.utility(k, t).values
         positions = tree.lift(plan.stage(k), t).values
-        acc += np.sum(u * positions, axis=1)
+        acc += row_dot(u, positions)
     return AdaptedVariable(t, acc)
 
 

@@ -10,9 +10,10 @@ scalar or vector, per node of some depth.
 The class below caches, on first use, one sparse averaging matrix per level
 (rows are parents, columns their children, entries the conditional
 probabilities) and one ancestor index per pair of depths.  Conditioning is
-then one sparse product per level, and lifting one gather.  Blocks that are
-conditioned onto different depths travel up the levels side by side, so a
-whole stack of them costs one sweep.
+then one sparse product per level, and lifting one gather.  The columns of
+a block are averaged independently, so a block whose columns are meant for
+different depths is swept up once and each column read off at its own
+depth, with the same bits as a sweep of that column alone.
 """
 
 from __future__ import annotations
@@ -305,32 +306,6 @@ class ScenarioTree:
             )
         return AdaptedVariable(depth, self.conditional_levels(x.values, x.depth, depth)[0])
 
-    def condition_stack(
-        self, depth: int, blocks: list[np.ndarray], targets: list[int]
-    ) -> list[np.ndarray]:
-        """Condition depth-``depth`` blocks, block i onto depth ``targets[i]``.
-
-        The blocks are set side by side and swept up the levels once; each
-        is read off at its own target.  Every column is averaged exactly as
-        :meth:`conditional_expectation` would average it alone.
-        """
-        if not blocks:
-            return []
-        if max(targets) > depth:
-            raise DimensionMismatch(
-                f"cannot condition depth-{depth} blocks on finer depth {max(targets)}"
-            )
-        n = self.n_nodes(depth)
-        cols = [np.reshape(b, (n, -1)) for b in blocks]
-        lowest = min(targets)
-        levels = self.conditional_levels(np.hstack(cols, dtype=float), depth, lowest)
-        out, end = [], 0
-        for block, target, col in zip(blocks, targets, cols):
-            start, end = end, end + col.shape[1]
-            part = levels[target - lowest][:, start:end].copy()
-            out.append(part.reshape(part.shape[:1] + np.shape(block)[1:]))
-        return out
-
     def _ancestor_rows(self, depth: int, finer: int) -> np.ndarray:
         """Row of each depth-``finer`` node's ancestor at ``depth``."""
         rows = self._ancestors.get((depth, finer))
@@ -434,8 +409,18 @@ def inner_product(tree: ScenarioTree, a: PortfolioProcess, b: PortfolioProcess) 
     total = 0.0
     for k in range(tree.last_issue + 1):
         p = tree.path_prob[k]
-        total += float(np.sum(p * np.sum(a.stage(k).values * b.stage(k).values, axis=1)))
+        total += float(np.sum(p * row_dot(a.stage(k).values, b.stage(k).values)))
     return total
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two ``(n, m)`` arrays, adding the columns left
+    to right.  For m < 8 this is bitwise ``np.sum(a * b, axis=1)``; past
+    that numpy sums in pairwise blocks and the last bits can differ."""
+    out = a[:, 0] * b[:, 0]
+    for c in range(1, a.shape[1]):
+        out += a[:, c] * b[:, c]
+    return out
 
 
 def norm(tree: ScenarioTree, a: PortfolioProcess) -> float:

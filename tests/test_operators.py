@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from reinsqp import elimination, operators, portfolio, tree as tree_module
+from reinsqp.contracts import compute_moments
+from reinsqp.errors import DimensionMismatch
 from reinsqp.operators import (
     Kind,
     apply,
@@ -112,12 +115,25 @@ class TestOperatorAlgebra:
             tree, book = inst.tree, inst.book
             plan = random_plan(tree, rng)
             stages = range(tree.last_issue + 1)
-            pairs = [(k, l) for k in stages for l in stages]
             scalars = [leaf_scalar(kind, tree, book, l, plan.stage(l)) for l in stages]
-            stacked = images(tree, book, [(k, scalars[l]) for k, l in pairs])
-            for (k, l), image in zip(pairs, stacked):
-                want = pair_block(kind, tree, book, k, l, plan.stage(l))
-                assert np.array_equal(image, want)
+            stacked = images(tree, book, stages, np.column_stack(scalars))
+            for k, per_scalar in zip(stages, stacked):
+                for l, image in zip(stages, per_scalar):
+                    want = pair_block(kind, tree, book, k, l, plan.stage(l))
+                    assert np.array_equal(image, want)
+
+    @pytest.mark.parametrize(
+        "stages", [range(0, 3), range(-1, 1), range(1, 1), range(0, 2, 2)]
+    )
+    def test_images_rejects_a_stage_range_off_the_issue_stages(self, coin2, stages):
+        leaves = coin2.tree.n_nodes(coin2.tree.horizon)
+        with pytest.raises(DimensionMismatch):
+            images(coin2.tree, coin2.book, stages, np.ones((leaves, 1)))
+
+    def test_images_rejects_scalars_off_the_leaves(self, coin2):
+        leaves = coin2.tree.n_nodes(coin2.tree.horizon)
+        with pytest.raises(DimensionMismatch, match="leaf scalars"):
+            images(coin2.tree, coin2.book, range(2), np.ones((leaves + 1, 1)))
 
     def test_centered_is_raw_minus_mean_square(self):
         rng = np.random.default_rng(41)
@@ -215,3 +231,60 @@ class TestRepresenters:
         rows = reps.all_rows()
         assert len(rows) == coin2.tree.horizon + 1
         assert rows[-1] is reps.mean
+
+
+def pairwise_leaf_scalar(kind, tree, book, l, x):
+    """``leaf_scalar`` summing each leaf's contracts with ``np.sum``."""
+    ul = book.final_utility(l).values
+    return operators._centered(kind, tree, np.sum(ul * tree.lift(x, tree.horizon).values, axis=1))
+
+
+def pairwise_images(tree, book, stages, scalars):
+    """``images`` built pair by pair: one product per (stage, scalar) pair,
+    set side by side with ``np.hstack`` and swept once."""
+    n, m = tree.n_contracts, scalars.shape[1]
+    blocks = [book.final_utility(k).values * scalars[:, j, None] for k in stages for j in range(m)]
+    levels = tree.conditional_levels(np.hstack(blocks), tree.horizon, stages.start)
+    out = []
+    for i, level in enumerate(levels[: len(stages)]):
+        cols = [level[:, (i * m + j) * n : (i * m + j + 1) * n] for j in range(m)]
+        out.append(np.stack(cols))
+    return out
+
+
+@pytest.mark.parametrize("n_contracts", [2, 3])
+def test_apply_and_solve_equal_the_pairwise_kernels_bitwise(monkeypatch, n_contracts):
+    """The one-block leaf products and the left-to-right contract sums
+    change no bit of ``apply`` or of a structured solve, in both forms and
+    at shifts 0 and -1."""
+    rng = np.random.default_rng(61 + n_contracts)
+
+    def run(tree, book, moments, plan, rhs):
+        out = []
+        for kind in (Kind.SECOND_MOMENT, Kind.VARIANCE):
+            out += apply(kind, tree, book, plan).stages
+            for shift in (0.0, -1.0):
+                res = elimination.solve(kind, tree, book, moments, shift, rhs)
+                out += [*res.plan.stages, res.residual]
+        return [np.asarray(getattr(x, "values", x)) for x in out]
+
+    draws = []
+    for _ in range(4):
+        inst = random_instance(rng, n_contracts=n_contracts)
+        tree, book = inst.tree, inst.book
+        args = (tree, book, compute_moments(tree, book), random_plan(tree, rng), random_plan(tree, rng))
+        draws.append((args, run(*args)))
+
+    def row_sum(a, b):
+        return np.sum(a * b, axis=1)
+
+    monkeypatch.setattr(operators, "images", pairwise_images)
+    monkeypatch.setattr(elimination, "images", pairwise_images)
+    monkeypatch.setattr(elimination, "leaf_scalar", pairwise_leaf_scalar)
+    monkeypatch.setattr(portfolio, "row_dot", row_sum)
+    monkeypatch.setattr(tree_module, "row_dot", row_sum)
+    for args, got in draws:
+        want = run(*args)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()

@@ -12,6 +12,7 @@ from reinsqp.tree import (
     ScenarioTree,
     inner_product,
     norm,
+    row_dot,
     validate_structure,
 )
 
@@ -269,8 +270,26 @@ def test_calculus_matches_node_loops_bitwise(seed, width):
 
     targets = [int(t) for t in rng.integers(0, hi + 1, 4)]
     blocks = [draw(hi) for _ in targets]
-    for block, target, got in zip(blocks, targets, tree.condition_stack(hi, blocks, targets)):
+    lowest = min(targets)
+    cols = [b.reshape(tree.n_nodes(hi), -1) for b in blocks]
+    w = cols[0].shape[1]
+    # one block of all the columns, swept once; each part read off at its target
+    levels = tree.conditional_levels(np.column_stack(cols), hi, lowest)
+    for i, (block, target) in enumerate(zip(blocks, targets)):
+        got = levels[target - lowest][:, i * w : (i + 1) * w].reshape((-1, *block.shape[1:]))
         assert np.array_equal(got, reference_condition(nodes, block, hi, target))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_dot_is_numpy_row_sum_bitwise(n):
+    """Left-to-right column sums are numpy's own row sums below 8 columns,
+    on values spread over 200 orders of magnitude."""
+    rng = np.random.default_rng(n)
+    a, b = (
+        rng.standard_normal((2000, n)) * 10.0 ** rng.integers(-100, 100, (2000, n))
+        for _ in range(2)
+    )
+    assert np.array_equal(row_dot(a, b), np.sum(a * b, axis=1))
 
 
 class TestPortfolioProcess:

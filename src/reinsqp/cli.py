@@ -147,7 +147,7 @@ def _solve_payload(tree, res, form: str) -> dict:
         "flags": {
             "near_singular_gram": res.near_singular,
             "non_monotone": res.non_monotone,
-            "dense_fallbacks": res.fallbacks,
+            "unverified_solves": res.fallbacks,
         },
         "deterministic": {
             "stage_positions": res.deterministic.stage_positions.tolist(),

@@ -263,7 +263,7 @@ def solve(
     One round of iterative refinement is applied when the first pass leaves
     a measurable residual.  The result always carries its final relative
     residual, measured by applying the operator to the computed plan;
-    callers decide whether to accept, retry densely, or raise.
+    callers decide whether to accept it or raise.
     """
     if coeffs is None:
         coeffs = elimination_coefficients(moments, shift)

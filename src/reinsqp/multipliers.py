@@ -8,7 +8,9 @@ plan: solving the governing form against every representer produces a
 small Gram system whose sign-constrained solution yields the period and
 mean weights, while the nonnegativity multipliers come from a nodewise
 sign-constrained projection.  The Gram build keeps the solved
-representers, so each projection cycle makes one structured solve.
+representers, so each projection cycle makes one structured solve.  Every
+solve is kept whatever its residual, since each cycle's verified
+optimality report decides convergence; a singular pivot raises.
 
 The ladder has three rungs: a deterministic approximation that replaces
 every representer by its expectation, a first approximation that reuses
@@ -41,7 +43,6 @@ from .errors import (
     InfeasibleDeterministic,
     InputError,
     NumericalFailure,
-    SingularPivot,
 )
 from .operators import Kind, Representers, apply, images, leaf_scalar, representers
 from .oracle import MaxMeanResult
@@ -73,56 +74,6 @@ class MultiplierSet:
     bounds: PortfolioProcess
 
 
-class FormSolver:
-    """Structured-first linear solves in one form, with dense fallback.
-
-    The structured route fails only when a pivot is numerically singular at
-    shift zero or its verified residual is too large; each such event falls
-    back to one dense solve and is counted, so reports can say exactly how
-    often the fast path was abandoned.
-    """
-
-    def __init__(
-        self,
-        tree: ScenarioTree,
-        book: ContractBook,
-        moments: MomentTables,
-        config: ConstraintConfig,
-        kind: Kind = Kind.VARIANCE,
-    ):
-        self.tree = tree
-        self.book = book
-        self.moments = moments
-        self.config = config
-        self.kind = kind
-        self.fallbacks = 0
-        self._dense = None
-        try:
-            self.coeffs = elimination.elimination_coefficients(moments, 0.0)
-        except SingularPivot:
-            self.coeffs = None
-
-    def _dense_problem(self):
-        if self._dense is None:
-            self._dense = oracle.assemble(self.tree, self.book, self.config, self.kind)
-        return self._dense
-
-    def solve(self, rhs: PortfolioProcess) -> PortfolioProcess:
-        if self.coeffs is not None:
-            try:
-                result = elimination.solve(
-                    self.kind, self.tree, self.book, self.moments, 0.0, rhs,
-                    coeffs=self.coeffs,
-                )
-                if result.residual_ok:
-                    return result.plan
-            except SingularPivot:
-                pass
-        self.fallbacks += 1
-        plan, _ = oracle.dense_solve_linear(self._dense_problem(), rhs)
-        return plan
-
-
 @dataclass
 class RepresenterGram:
     """The representer Gram system in the governing form's geometry.
@@ -136,8 +87,11 @@ class RepresenterGram:
     inverse_gram: np.ndarray
     cond: float
     near_singular: bool
-    solver: FormSolver = field(repr=False)
+    kind: Kind
+    coeffs: elimination.EliminationCoefficients = field(repr=False)
     reps: Representers = field(repr=False)
+    #: structured solves so far whose residual missed the tolerance
+    unverified: int = 0
 
 
 def l_gram(
@@ -147,18 +101,22 @@ def l_gram(
     moments: MomentTables | None = None,
     kind: Kind = Kind.VARIANCE,
 ) -> RepresenterGram:
-    """Build the representer Gram system with one solve per row."""
+    """Build the representer Gram system with one structured solve per row."""
     if moments is None:
         moments = compute_moments(tree, book)
     reps = representers(tree, book, config)
-    solver = FormSolver(tree, book, moments, config, kind)
-    solved = Representers(solver.solve(reps.mean), [solver.solve(r) for r in reps.roe])
+    coeffs = elimination.elimination_coefficients(moments, 0.0)
+    solves = [elimination.solve(kind, tree, book, moments, 0.0, row, coeffs=coeffs)
+              for row in reps.all_rows()]
+    *roe, mean = [s.plan for s in solves]
+    solved = Representers(mean, roe)
     inv_gram = np.array([[inner_product(tree, row, image) for image in solved.all_rows()]
                          for row in reps.all_rows()])
     inv_gram = 0.5 * (inv_gram + inv_gram.T)
     cond = float(np.linalg.cond(inv_gram))
     near_singular = not np.isfinite(cond) or cond > GRAM_COND_MAX
-    return RepresenterGram(solved, inv_gram, cond, near_singular, solver, reps)
+    return RepresenterGram(solved, inv_gram, cond, near_singular, kind, coeffs, reps,
+                           unverified=sum(not s.residual_ok for s in solves))
 
 
 def _stabilized_pairing(gram: RepresenterGram) -> np.ndarray:
@@ -318,10 +276,13 @@ def _projection_cycle(
     form: Form,
 ):
     """One full update: multipliers from the Gram step, relaxed plan from one
-    solve (of ``nu``, added to the solved representers), then the split."""
-    kind = gram.solver.kind
+    solve (of ``nu``, added to the solved representers), then the split;
+    a residual miss of the solve is counted on ``gram``."""
+    kind = gram.kind
     levels = config.levels(tree)
-    solved_nu = gram.solver.solve(nu)
+    nu_solve = elimination.solve(kind, tree, book, moments, 0.0, nu, coeffs=gram.coeffs)
+    gram.unverified += not nu_solve.residual_ok
+    solved_nu = nu_solve.plan
     r = np.array([inner_product(tree, row, solved_nu) for row in gram.reps.all_rows()])
     weights = _multiplier_step(gram, r, levels, form)
     roe_w, mean_w = weights[:-1], float(weights[-1])
@@ -446,13 +407,14 @@ def assemble_solution(
     reps: Representers | None = None,
 ) -> PortfolioProcess:
     """Reconstruct the plan a multiplier set stands for: one structured
-    solve of the chosen form against the combined representers."""
+    solve of the chosen form against the combined representers, whatever
+    its residual."""
     if moments is None:
         moments = compute_moments(tree, book)
     if reps is None:
         reps = representers(tree, book, config)
     rhs = reps.combine(mults.roe, mults.mean) + mults.bounds
-    return FormSolver(tree, book, moments, config, kind).solve(rhs)
+    return elimination.solve(kind, tree, book, moments, 0.0, rhs).plan
 
 
 @dataclass
@@ -468,6 +430,7 @@ class IterationResult:
     converged: bool
     non_monotone: bool
     near_singular: bool
+    #: structured solves whose residual missed ``elimination.RESIDUAL_TOL``
     fallbacks: int
     deterministic: DeterministicSolution
 
@@ -525,7 +488,7 @@ def iterate(
         converged=best["report"].converged,
         non_monotone=grew,
         near_singular=gram.near_singular,
-        fallbacks=gram.solver.fallbacks,
+        fallbacks=gram.unverified,
         deterministic=det,
     )
     cap = config.variance_cap

@@ -10,10 +10,11 @@ contract book, the representer processes (flattened here into constraint
 rows), the active-set engine of ``qp`` through :func:`form_qp` (the
 ladder's deterministic rung calls it too) and, for the max-mean form, the
 floor search :func:`max_mean_floor` with the mean range that ``qp``'s
-simplex gives it.  Agreement between the routes is therefore evidence
-about the structured factorization and the multiplier ladder, not about
-those shared parts.  Each dense answer passes its own optimality check on
-the Gram matrix and rows before it is returned.
+simplex gives it.  The structured route makes no dense linear solve.
+Agreement between the routes is therefore evidence about the structured
+factorization and the multiplier ladder, not about those shared parts.
+Each dense answer passes its own optimality check on the Gram matrix and
+rows before it is returned.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def dense_solve_linear(
     x = np.linalg.solve(a, b)
     denom = float(np.linalg.norm(b)) or 1.0
     resid = float(np.linalg.norm(a @ x - b)) / denom
-    if resid > max(DENSE_RESIDUAL_TOL, 1e-15 * np.linalg.cond(a)):
+    if not resid <= max(DENSE_RESIDUAL_TOL, 1e-15 * np.linalg.cond(a)):
         raise NumericalFailure(f"dense solve residual {resid:.3e}")
     return from_coords(problem.tree, x), resid
 

@@ -347,6 +347,32 @@ class TestCompare:
         assert payload["deviation"]["variance"] < 1e-5
 
 
+class TestSingularPivot:
+    @pytest.fixture
+    def twin_file(self, tmp_path):
+        # the coin's one contract written twice: the stage profiles are
+        # linearly dependent, so the elimination pivot is singular
+        data = coin2_data()
+        data["N"] = 2
+        data["utilities"] += [dict(u, contract=1) for u in data["utilities"]]
+        path = tmp_path / "twin.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [("solve", "--max-iter", "5"), ("compare",)],
+                             ids=["solve", "compare"])
+    def test_structured_route_is_a_numerical_failure(self, capsys, twin_file, argv):
+        rc, out, err = run_main(capsys, *argv, "--input", twin_file)
+        assert rc == 3
+        assert out == ""
+        assert "numerical failure: singular pivot at level 1" in err
+
+    def test_oracle_still_solves(self, capsys, twin_file):
+        rc, out, _ = run_main(capsys, "oracle", "--input", twin_file)
+        assert rc == 0
+        assert parse_report(out)["report_type"] == "oracle"
+
+
 class TestProcessLevel:
     def run(self, *argv, env_extra=None):
         env = dict(os.environ)

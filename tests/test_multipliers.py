@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reinsqp import multipliers
+from reinsqp import elimination, multipliers, oracle
 from reinsqp.contracts import ContractBook, compute_moments
 from reinsqp.elimination import RESIDUAL_TOL
 from reinsqp.errors import InfeasibleDeterministic, InputError, NumericalFailure
@@ -114,7 +114,10 @@ class TestRepresenterGram:
                         inst.tree, inst.book, inst.config, moments, gram, nu, form
                     )
                     rhs = gram.reps.combine(mults.roe, mults.mean) + nu
-                    direct = gram.solver.solve(rhs)
+                    direct = elimination.solve(
+                        form.kind, inst.tree, inst.book, moments, 0.0, rhs,
+                        coeffs=gram.coeffs,
+                    ).plan
                     gap = (relaxed - direct).max_abs()
                     assert gap <= 1e-9 * max(direct.max_abs(), 1e-300)
                     leftover = rhs - apply(form.kind, inst.tree, inst.book, relaxed)
@@ -497,3 +500,30 @@ class TestIterateMaxMean:
         with pytest.raises(NumericalFailure, match="floor 1 did not converge") as exc:
             iterate_max_mean(inst.tree, inst.book, config, max_iter=25)
         assert "after 25 cycles" in str(exc.value)
+
+
+class TestStructuredSolvesOnly:
+    def test_ladder_never_calls_the_dense_machinery(self, coin2, coin_oracle, monkeypatch):
+        # every linear solve of the ladder is structured, also the ones
+        # that miss their residual tolerance; those are counted
+        rng = np.random.default_rng(101)
+        draw = [random_instance(rng) for _ in range(10)][9]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the structured route called the dense oracle")
+
+        monkeypatch.setattr(oracle, "assemble", refuse)
+        monkeypatch.setattr(oracle, "dense_solve_linear", refuse)
+        for form in (Form.MIN_VARIANCE, Form.FIXED_MEAN):
+            res = iterate(coin2.tree, coin2.book, coin2.config, max_iter=300, form=form)
+            assert res.converged
+            assert res.fallbacks == 0
+        res = iterate(draw.tree, draw.book, draw.config, max_iter=300)
+        assert not res.converged
+        assert res.fallbacks == 231
+        config = dataclasses.replace(coin2.config, variance_cap=18 / 17)
+        assert iterate_max_mean(coin2.tree, coin2.book, config, max_iter=300).result.converged
+        plan = assemble_solution(
+            coin2.tree, coin2.book, coin2.config, oracle_multiplier_set(coin_oracle)
+        )
+        assert np.isfinite(plan.max_abs())

@@ -106,6 +106,15 @@ class TestDenseSolveLinear:
         image = (problem.gram + np.eye(3)) @ to_coords(coin2.tree, plan)
         np.testing.assert_allclose(image, to_coords(coin2.tree, rhs), atol=1e-10)
 
+    def test_nan_right_hand_side_is_refused(self, coin2):
+        # a NaN residual compares false against the tolerance
+        rng = np.random.default_rng(23)
+        problem = assemble(coin2.tree, coin2.book, coin2.config, Kind.VARIANCE)
+        rhs = random_plan(coin2.tree, rng)
+        rhs.stage(1).values[0, 0] = np.nan
+        with pytest.raises(NumericalFailure, match="residual nan"):
+            dense_solve_linear(problem, rhs)
+
 
 class TestMinVariance:
     def test_coin_optimum(self, coin2):

@@ -525,24 +525,25 @@ def iterate_max_mean(
 
     Runs the oracle's floor search (:func:`oracle.max_mean_floor`) with a
     min-variance ladder at each floor, so its ``result`` is an
-    :class:`IterationResult`.  The ladder's variances need not be exactly
-    monotone in the floor, so the returned floor is only as good as the
-    recorded optimality reports; the trace keeps every (floor, variance)
-    pair evaluated.  The search goes on only over converged ladders: the
-    first floor whose ladder did not converge raises a numerical failure.
-    A cap below the floor-0 ladder's variance is infeasible.
+    :class:`IterationResult`.  Each Newton step takes its slope from the
+    ladder's mean multiplier, which is only as exact as the recorded
+    optimality report, so the returned floor is too; the trace keeps every
+    (floor, variance) pair evaluated.  The search goes on only over
+    converged ladders: the first floor whose ladder did not converge
+    raises a numerical failure.  A cap below the floor-0 ladder's variance
+    is infeasible.
     """
     cap = config.variance_cap
     if cap is None:
         raise InputError("the mean-maximal form needs a variance cap")
     moments = compute_moments(tree, book)
 
-    def solve_at(floor: float) -> tuple[IterationResult, float, float]:
+    def solve_at(floor: float) -> tuple[IterationResult, float, float, float]:
         cfg = dataclasses.replace(config, mean_floor=floor, variance_cap=None)
         res = iterate(tree, book, cfg, max_iter=max_iter, tol=tol, moments=moments)
         var = variance_final(tree, book, res.plan)
         _require_converged(floor, cap)(res, var)
-        return res, var, mean_final(tree, book, res.plan)
+        return res, var, mean_final(tree, book, res.plan), res.multipliers.mean
 
     rows, levels = oracle.constraint_rows(tree, book, config)
     return oracle.max_mean_floor(solve_at, cap, rows, levels)

@@ -9,8 +9,9 @@ operators or their elimination.  The two routes do share the tree, the
 contract book, the representer processes (flattened here into constraint
 rows), the active-set engine of ``qp`` through :func:`form_qp` (the
 ladder's deterministic rung calls it too) and, for the max-mean form, the
-floor search :func:`max_mean_floor` with the mean range that ``qp``'s
-simplex gives it.  The structured route makes no dense linear solve.
+floor search :func:`max_mean_floor` (Newton's method on the frontier's
+standard deviation) with the mean range that ``qp``'s simplex gives it.
+The structured route makes no dense linear solve.
 Agreement between the routes is therefore evidence about the structured
 factorization and the multiplier ladder, not about those shared parts.
 Each dense answer passes its own optimality check on the Gram matrix and
@@ -19,6 +20,7 @@ rows before it is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -41,8 +43,10 @@ from .tree import PortfolioProcess, ScenarioTree
 DENSE_RESIDUAL_TOL = 1e-12
 #: largest violation of its optimality system a dense QP answer may have
 CERTIFY_TOL = 1e-8
-#: relative gap at which the variance-cap bisection stops
-BISECTION_TOL = 1e-6
+#: relative tolerance on the variance cap
+CAP_TOL = 1e-6
+#: most mean floors the max-mean search visits after floor 0
+MAX_FLOOR_STEPS = 80
 
 
 def to_coords(tree: ScenarioTree, plan: PortfolioProcess) -> np.ndarray:
@@ -220,13 +224,12 @@ def cap_verdict(
     result: Any,
     variance: float,
     cap: float | None,
-    bisect_tol: float = BISECTION_TOL,
     check: Callable[[Any, float], None] | None = None,
 ) -> None:
     """Raise when ``variance``, the least that ``result`` attained, exceeds
-    a cap beyond the relative tolerance: ``check(result, variance)`` may
-    raise a more specific error first, else the capped problem is infeasible."""
-    if cap is not None and variance > cap * (1 + bisect_tol):
+    a cap beyond ``CAP_TOL``: ``check(result, variance)`` may raise a more
+    specific error first, else the capped problem is infeasible."""
+    if cap is not None and variance > cap * (1 + CAP_TOL):
         if check is not None:
             check(result, variance)
         raise Infeasible(
@@ -246,62 +249,58 @@ class MaxMeanResult:
 
 
 def max_mean_floor(
-    solve_at: Callable[[float], tuple[Any, float, float]],
+    solve_at: Callable[[float], tuple[Any, float, float, float]],
     cap: float,
     rows: np.ndarray,
     levels: np.ndarray,
-    bisect_tol: float = BISECTION_TOL,
 ) -> MaxMeanResult:
     """Search the mean floor of the min-variance form for the largest one
     whose variance meets the cap.
 
     ``solve_at(floor)`` solves the min-variance form at that floor and
-    returns ``(result, variance, mean)``, or raises to refuse its answer,
-    which ends the search.  The search relies on the optimal variance being
-    nondecreasing in the floor.  The floor-0 solve must pass
-    :func:`cap_verdict`.  From floor 0 the floor doubles until the variance
-    reaches the cap or the floor reaches the largest attainable mean of
-    ``rows`` and ``levels``; a cap still slack there returns that floor
-    with ``cap_binding=False``.  Otherwise the floor is bisected until the
-    variance meets the cap in relative terms.
+    returns ``(result, variance, mean, mean_multiplier)``, or raises to
+    refuse its answer, which ends the search.  The floor-0 solve must pass
+    :func:`cap_verdict`.  The least variance V(e) has slope 2 * the mean
+    multiplier, and σ(e) = sqrt(V(e)) is convex, so Newton's method on
+    σ(e) = sqrt(cap) falls monotonically to the root from its right, and
+    one step from its left lands there.  The first floor after 0 is
+    ``max(1, 2|mean at 0|)``; every floor is clamped to the largest
+    attainable mean of ``rows`` and ``levels``, and the floor doubles
+    where the multiplier or the variance is 0.  The search stops when the
+    variance meets the cap within ``CAP_TOL``, or with ``cap_binding=False``
+    at the largest attainable mean if the cap is slack there.
     """
     trace: list[tuple[float, float]] = []
 
-    def visit(floor: float) -> tuple[Any, float, float]:
-        result, variance, mean = solve_at(floor)
-        trace.append((floor, variance))
-        return result, variance, mean
+    def visit(floor: float) -> tuple[Any, float, float, float]:
+        out = solve_at(floor)
+        trace.append((floor, out[1]))
+        return out
 
-    lo = 0.0
-    res_lo, var_lo, mean_lo = visit(lo)
-    cap_verdict(res_lo, var_lo, cap, bisect_tol)
+    floor = 0.0
+    res, var, mean, mult = visit(floor)
+    cap_verdict(res, var, cap)
     e_max = max_attainable_mean(rows, levels)
-    hi = max(1.0, 2 * abs(mean_lo))
-    for _ in range(80):
-        if e_max is not None and hi >= e_max:
-            hi = e_max
-            break
-        if visit(hi)[1] >= cap:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalFailure("variance cap bracket not found")
-    if e_max is not None and hi == e_max:
-        res, var, _ = visit(e_max)
-        if var < cap * (1 - bisect_tol):
-            return MaxMeanResult(res, e_max, False, trace)
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        res, var, _ = visit(mid)
-        if abs(var - cap) <= bisect_tol * cap:
-            return MaxMeanResult(res, mid, True, trace)
-        if var > cap:
-            hi = mid
+    sigma_cap = math.sqrt(cap)
+    ahead = max(1.0, 2 * abs(mean))
+    for _ in range(MAX_FLOOR_STEPS):
+        if e_max is not None:
+            ahead = min(ahead, e_max)
+        if ahead != floor:
+            floor = ahead
+            res, var, _, mult = visit(floor)
+        if abs(var - cap) <= CAP_TOL * cap:
+            return MaxMeanResult(res, floor, True, trace)
+        if floor == e_max and var < cap:
+            return MaxMeanResult(res, floor, False, trace)
+        if mult <= 0 or var == 0:
+            ahead = 2 * floor
         else:
-            lo = mid
-    mid = 0.5 * (lo + hi)
-    return MaxMeanResult(visit(mid)[0], mid, True, trace)
+            sigma = math.sqrt(var)
+            ahead = floor - (sigma - sigma_cap) * sigma / mult
+    raise NumericalFailure(
+        f"variance cap {cap:.6g} not met within {MAX_FLOOR_STEPS} mean floors"
+    )
 
 
 def dense_qp(
@@ -309,7 +308,6 @@ def dense_qp(
     book: ContractBook,
     config: ConstraintConfig,
     form: Form,
-    bisect_tol: float = BISECTION_TOL,
 ) -> OracleSolution:
     """Solve one of the three problem forms by dense quadratic programming.
 
@@ -324,18 +322,18 @@ def dense_qp(
     problem = assemble(tree, book, config, form.kind)
     if form is not Form.MAX_MEAN:
         sol = _qp_once(problem, config.mean_floor, form)
-        cap_verdict(sol, sol.variance_value, config.variance_cap, bisect_tol)
+        cap_verdict(sol, sol.variance_value, config.variance_cap)
         return sol
 
     cap = config.variance_cap
     if cap is None:
         raise InputError("the variance-maximum form needs a variance cap")
 
-    def solve_at(floor: float) -> tuple[OracleSolution, float, float]:
+    def solve_at(floor: float) -> tuple[OracleSolution, float, float, float]:
         sol = _qp_once(problem, floor, form)
-        return sol, sol.variance_value, sol.mean_value
+        return sol, sol.variance_value, sol.mean_value, sol.mean_multiplier
 
-    found = max_mean_floor(solve_at, cap, problem.rows, problem.levels, bisect_tol)
+    found = max_mean_floor(solve_at, cap, problem.rows, problem.levels)
     best = found.result
     best.cap_binding = found.cap_binding
     best.bisection_trace = found.trace

@@ -240,9 +240,7 @@ def test_mean_maximal_form_recovers_the_variance_minimizer():
         inst = random_instance(rng)
         mn = dense_qp(inst.tree, inst.book, inst.config, Form.MIN_VARIANCE)
         capped = dataclasses.replace(inst.config, variance_cap=mn.variance_value)
-        mx = dense_qp(
-            inst.tree, inst.book, capped, Form.MAX_MEAN, bisect_tol=1e-10
-        )
+        mx = dense_qp(inst.tree, inst.book, capped, Form.MAX_MEAN)
         worst_plan = max(
             worst_plan,
             norm(inst.tree, mx.plan - mn.plan) / max(norm(inst.tree, mn.plan), 1e-12),

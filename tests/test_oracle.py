@@ -20,6 +20,7 @@ from reinsqp.oracle import (
     max_mean_floor,
     to_coords,
 )
+from reinsqp.multipliers import MultiplierSet, kkt_verify
 from reinsqp.portfolio import evaluate_constraints
 from reinsqp.qp import solve_qp
 from reinsqp.tree import inner_product, norm
@@ -221,7 +222,8 @@ class TestMaxMean:
         assert sol.mean_value**2 == pytest.approx(8.5, rel=1e-5)
         assert sol.variance_value == pytest.approx(1.0, rel=1e-5)
         assert sol.mean_floor == pytest.approx(sol.mean_value, rel=1e-9)
-        assert len(sol.bisection_trace) > 2
+        # sigma is linear along the scaling ray: floor 0, floor 1, then the root
+        assert len(sol.bisection_trace) == 3
 
     def test_missing_cap_rejected(self, coin2):
         with pytest.raises(InputError):
@@ -251,6 +253,8 @@ class TestMaxMean:
         config = dataclasses.replace(coin2.config, variance_cap=5.0, mean_floor=0.0)
         sol = dense_qp(coin2.tree, book, config, Form.MAX_MEAN)
         assert not sol.cap_binding
+        # floor 0 is the largest attainable mean, solved once
+        assert sol.bisection_trace == [(0.0, 0.0)]
         assert sol.variance_value < 5.0 * (1 - 1e-6)
 
     def test_unknown_form_rejected(self, coin2):
@@ -259,9 +263,15 @@ class TestMaxMean:
 
 
 def squared_variance(offset: float = 0.0):
-    """A synthetic floor solve: V(e) = offset + e^2, mean e; the result
-    names its floor so tests can see which solve came back."""
-    return lambda e: (f"solve at {e!r}", offset + e * e, e)
+    """A synthetic floor solve: V(e) = offset + e^2, mean e, mean multiplier
+    V'(e) / 2 = e; the result names its floor so tests can see which solve
+    came back."""
+    return lambda e: (f"solve at {e!r}", offset + e * e, e, e)
+
+
+def riskless(e):
+    """A synthetic floor solve whose variance is 0 at every floor."""
+    return f"solve at {e!r}", 0.0, e, 0.0
 
 
 #: rows and levels whose largest attainable mean is 5 (x <= 5, maximize x)
@@ -271,21 +281,32 @@ OPEN_ROWS, OPEN_LEVELS = np.array([[0.0], [1.0]]), np.array([0.0, 0.0])
 
 
 class TestMaxMeanFloor:
-    def test_binding_cap_bisects_to_the_root(self):
+    def test_binding_cap_newton_steps_to_the_root(self):
         out = max_mean_floor(squared_variance(), 9.0, CAPPED_ROWS, CAPPED_LEVELS)
         assert out.cap_binding
-        assert out.mean_floor == pytest.approx(3.0, rel=1e-6)
-        assert out.result == f"solve at {out.mean_floor!r}"
-        # floor 0, the doubling bracket, then bisection from its midpoint
-        assert [e for e, _ in out.trace[:5]] == [0.0, 1.0, 2.0, 4.0, 2.0]
-        assert out.trace[-1] == (out.mean_floor, out.mean_floor**2)
+        # sigma(e) = e is linear, so one Newton step from floor 1 is exact
+        assert out.trace == [(0.0, 0.0), (1.0, 1.0), (3.0, 9.0)]
+        assert out.mean_floor == 3.0
+        assert out.result == "solve at 3.0"
 
     def test_slack_cap_returns_the_largest_attainable_floor(self):
         out = max_mean_floor(squared_variance(), 100.0, CAPPED_ROWS, CAPPED_LEVELS)
         assert not out.cap_binding
-        assert out.mean_floor == pytest.approx(5.0, rel=1e-9)
-        assert [e for e, _ in out.trace[:4]] == [0.0, 1.0, 2.0, 4.0]
-        assert out.trace[-1][1] == pytest.approx(25.0, rel=1e-9)
+        # the Newton step to 10 is clamped to the largest attainable mean
+        assert out.trace == [(0.0, 0.0), (1.0, 1.0), (5.0, 25.0)]
+        assert out.mean_floor == 5.0
+        assert out.result == "solve at 5.0"
+
+    def test_curved_frontier_descends_to_the_root(self):
+        out = max_mean_floor(squared_variance(1.0), 10.0, OPEN_ROWS, OPEN_LEVELS)
+        assert out.cap_binding
+        floors = [e for e, _ in out.trace]
+        assert floors[:2] == [0.0, 1.0]
+        # one step from the left overshoots the root 3, then every step falls
+        assert all(a > b > 3.0 for a, b in zip(floors[2:], floors[3:]))
+        assert len(floors) <= 6
+        assert abs(out.trace[-1][1] - 10.0) <= oracle.CAP_TOL * 10.0
+        assert out.result == f"solve at {out.mean_floor!r}"
 
     def test_cap_below_floor_zero_is_infeasible(self):
         with pytest.raises(Infeasible, match="minimal attainable variance 1"):
@@ -312,13 +333,42 @@ class TestMaxMeanFloor:
             max_mean_floor(refusing(0.0, 1.0), 9.0, CAPPED_ROWS, CAPPED_LEVELS)
         assert seen[1:] == [0.0, 1.0]
 
-    def test_unbounded_mean_takes_the_doubling_bracket(self):
+    def test_unbounded_mean_takes_one_newton_step(self):
         assert max_attainable_mean(OPEN_ROWS, OPEN_LEVELS) is None
         out = max_mean_floor(squared_variance(), 1e6, OPEN_ROWS, OPEN_LEVELS)
         assert out.cap_binding
-        assert out.mean_floor == pytest.approx(1000.0, rel=1e-6)
-        floors = [e for e, _ in out.trace]
-        assert floors[:12] == [0.0] + [2.0**j for j in range(11)]
+        assert out.trace == [(0.0, 0.0), (1.0, 1.0), (1000.0, 1e6)]
+
+    def test_riskless_unbounded_mean_is_a_numerical_failure(self):
+        # the floor doubles while the variance stays 0 and the cap never binds
+        with pytest.raises(NumericalFailure, match="not met within"):
+            max_mean_floor(riskless, 1.0, OPEN_ROWS, OPEN_LEVELS)
+
+    def test_binding_profitability_rows_take_few_floors(self):
+        rng = np.random.default_rng(909)
+        for _ in range(10):
+            inst = random_instance(rng)
+            config = dataclasses.replace(
+                inst.config,
+                roe_rates=np.full(inst.tree.horizon, 0.5),
+                initial_equity=3.0,
+                mean_floor=0.0,
+            )
+            least = dense_qp(inst.tree, inst.book, config, Form.MIN_VARIANCE)
+            cap = 3 * least.variance_value
+            capped = dataclasses.replace(config, variance_cap=cap)
+            sol = dense_qp(inst.tree, inst.book, capped, Form.MAX_MEAN)
+            assert sol.cap_binding
+            assert abs(sol.variance_value - cap) <= oracle.CAP_TOL * cap
+            assert len(sol.bisection_trace) <= 8
+            at_floor = dataclasses.replace(config, mean_floor=sol.mean_floor)
+            mults = MultiplierSet(
+                sol.roe_multipliers, sol.mean_multiplier, sol.bound_multipliers
+            )
+            kkt = kkt_verify(
+                inst.tree, inst.book, at_floor, sol.plan, mults, Form.MIN_VARIANCE
+            )
+            assert kkt.converged, kkt.as_dict()
 
 
 class TestMeanRange:

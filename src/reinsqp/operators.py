@@ -13,7 +13,11 @@ processes, built here from conditional expectations of the contract book.
 
 The dense matrices of both forms are assembled by direct leaf enumeration,
 deliberately independent of the conditional-expectation route used by
-``apply``, so the two can check each other.
+``apply``, so the two can check each other.  Each leaf holds one nonzero
+of the unit plans' final utilities per (issue stage, contract); those
+nonzeros are kept as an index array and a value array of shape
+``(leaves, stages * contracts)``, and the Gram matrix is one scatter-add
+of every leaf's pairwise products.
 """
 
 from __future__ import annotations
@@ -217,42 +221,47 @@ def dense_matrix(
     """Assemble the chosen form's Gram matrix in probability-weighted
     coordinates, by leaf enumeration.
 
-    Row (k, v, i) holds the final utility of the unit plan "one contract i
-    at node v, issue time k", scaled by the square root of the node's path
-    probability; the Gram matrix is then a single weighted product over
-    leaves.  The weighting makes the matrix symmetric and makes plain
-    Euclidean solves and eigendecompositions equivalent to the tree's own
-    geometry.  Past ``max_dim`` coordinates the matrix is not built: the
-    input is valid, but too large for a dense method.
+    Coordinate (k, v, i) is the unit plan "one contract i at node v, issue
+    time k", scaled by the square root of the node's path probability.  Its
+    final utility at a leaf is ``u_k[leaf, i] / sqrt(p_v)`` if v is the
+    leaf's depth-k ancestor and 0 otherwise, so each leaf has one nonzero
+    per (issue stage, contract).  ``idx[leaf, (k, i)]`` holds that
+    nonzero's coordinate and ``val[leaf, (k, i)]`` its value.  Entry (a, b)
+    sums ``p_leaf * (val_a * val_b)`` over the leaves, every entry in one
+    scatter-add over all leaves' pairs; the variance form subtracts
+    ``m m^T``, with ``m_a`` the sum of ``p_leaf * val_a``.  A pair's weight
+    is the same number in both orders, so the matrix is exactly symmetric.
+    Memory grows with ``leaves * (stages * contracts)**2 + dim**2``.
+
+    The weighting makes plain Euclidean solves and eigendecompositions
+    equivalent to the tree's own geometry.  Past ``max_dim`` coordinates
+    the matrix is not built: the input is valid, but too large for a dense
+    method.
     """
     layout = coordinate_layout(tree)
     if layout.dim > max_dim:
         raise NumericalFailure(f"dense dimension {layout.dim} exceeds cap {max_dim}")
-    n_leaves = tree.n_nodes(tree.horizon)
+    dim, nc = layout.dim, tree.n_contracts
     p_leaf = tree.path_prob[tree.horizon]
-
-    rows = np.zeros((layout.dim, n_leaves))
-    scale = np.zeros(layout.dim)
-    leaf_range = np.arange(n_leaves)
-    for k in range(tree.last_issue + 1):
-        # row index of each leaf's depth-k ancestor
-        anc = leaf_range
-        for d in range(tree.horizon, k, -1):
+    leaves = len(p_leaf)
+    idx = np.empty((leaves, tree.last_issue + 1, nc), dtype=np.intp)
+    val = np.empty(idx.shape)
+    anc = np.arange(leaves)
+    for d in range(tree.horizon, -1, -1):
+        # anc is the row of each leaf's depth-d ancestor
+        if d <= tree.last_issue:
+            idx[:, d] = layout.offsets[d] + nc * anc[:, None] + np.arange(nc)
+            val[:, d] = book.settled[:, d] / np.sqrt(tree.path_prob[d][anc])[:, None]
+        if d > 0:
             anc = tree.parent_row[d][anc]
-        u = book.final_utility(k).values
-        nk, nc = tree.n_nodes(k), tree.n_contracts
-        base = layout.offsets[k]
-        # scatter each leaf's settled utility into its ancestor's row, per contract
-        block = np.zeros((nk * nc, n_leaves))
-        for i in range(nc):
-            block[anc * nc + i, leaf_range] = u[:, i]
-        rows[base : base + nk * nc] = block
-        scale[base : base + nk * nc] = np.repeat(np.sqrt(tree.path_prob[k]), nc)
+    idx = idx.reshape(leaves, -1)
+    val = val.reshape(leaves, -1)
 
-    rows = rows / scale[:, None]
-    weighted = rows * p_leaf[None, :]
-    gram = weighted @ rows.T
+    pairs = idx[:, :, None] * dim + idx[:, None, :]
+    weights = val[:, :, None] * val[:, None, :]
+    weights *= p_leaf[:, None, None]
+    gram = np.bincount(pairs.ravel(), weights.ravel(), dim * dim).reshape(dim, dim)
     if kind is Kind.VARIANCE:
-        means = weighted @ np.ones(n_leaves)
-        gram = gram - np.outer(means, means)
-    return 0.5 * (gram + gram.T)
+        means = np.bincount(idx.ravel(), (p_leaf[:, None] * val).ravel(), dim)
+        gram -= np.outer(means, means)
+    return gram

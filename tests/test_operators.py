@@ -1,10 +1,12 @@
 """The two quadratic-form operators and their matrix realizations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from reinsqp import elimination, operators, portfolio, tree as tree_module
-from reinsqp.contracts import compute_moments
+from reinsqp.contracts import ContractBook, compute_moments
 from reinsqp.errors import DimensionMismatch
 from reinsqp.operators import (
     Kind,
@@ -19,7 +21,7 @@ from reinsqp.oracle import from_coords, to_coords
 from reinsqp.portfolio import mean_final, utility_growth, utility_process
 from reinsqp.tree import PortfolioProcess, inner_product
 
-from conftest import random_instance
+from conftest import _build_tree, random_instance
 from test_portfolio import unit_plan
 
 
@@ -40,6 +42,36 @@ def random_plan(tree, rng):
             for k in range(tree.last_issue + 1)
         ],
     )
+
+
+def ternary_tree_book(rng, last_issue, lag, n_contracts):
+    """A 3-ary tree with random branch probabilities and random settled
+    results; the Gram matrices need nothing else of a book."""
+    horizon = last_issue + lag
+    probs = [(lambda raw: raw / raw.sum())(rng.uniform(0.2, 1.0, 3)) for _ in range(horizon)]
+    tree, _ = _build_tree(n_contracts, last_issue, lag, [3] * horizon, probs)
+    leaves = tree.n_nodes(horizon)
+    entries = {
+        (k, horizon): rng.normal(1.0, 1.0, (leaves, n_contracts)) for k in range(last_issue + 1)
+    }
+    return tree, ContractBook(tree, entries)
+
+
+def leaf_enumeration_gram(kind, tree, book):
+    """Sum over leaves of p f_a f_b / (sqrt(p_a) sqrt(p_b)), with f_a the final
+    utility of unit plan a, centered for the variance form."""
+    rows = []
+    for k in range(tree.last_issue + 1):
+        for row in range(tree.n_nodes(k)):
+            for contract in range(tree.n_contracts):
+                plan = basis_plan(tree, k, row, contract)
+                f = portfolio.final_utility_rv(tree, book, plan).values
+                rows.append(f / np.sqrt(tree.path_prob[k][row]))
+    rows = np.array(rows)
+    p_leaf = tree.path_prob[tree.horizon]
+    if kind is Kind.VARIANCE:
+        rows = rows - (rows @ p_leaf)[:, None]
+    return (rows * p_leaf) @ rows.T
 
 
 def pair_block(kind, tree, book, k, l, x):
@@ -159,9 +191,39 @@ class TestDenseMatrix:
             np.testing.assert_allclose(via_matrix, via_apply, atol=1e-10)
 
     def test_symmetry(self, coin2):
+        inst = random_instance(np.random.default_rng(101))
+        for tree, book in ((coin2.tree, coin2.book), (inst.tree, inst.book)):
+            for kind in (Kind.SECOND_MOMENT, Kind.VARIANCE):
+                mat = dense_matrix(kind, tree, book)
+                assert np.array_equal(mat, mat.T)
+
+    @pytest.mark.parametrize("kind", [Kind.SECOND_MOMENT, Kind.VARIANCE])
+    def test_matches_leaf_enumeration_of_unit_plans(self, kind):
+        rng = np.random.default_rng(101)
+        cases = [random_instance(rng) for _ in range(20)]
+        cases = [(inst.tree, inst.book) for inst in cases if inst.tree.n_contracts >= 2]
+        cases.append(ternary_tree_book(np.random.default_rng(5), 2, 3, 3))
+        for tree, book in cases:
+            mat = dense_matrix(kind, tree, book)
+            want = leaf_enumeration_gram(kind, tree, book)
+            assert np.abs(mat - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_memory_follows_the_leaf_factor_nonzeros(self):
+        # deep5's shape, 2187 leaves and 242 coordinates: a dense
+        # coordinates x leaves factor alone takes 4 MiB, most of the bound
+        tree, book = ternary_tree_book(np.random.default_rng(0), 4, 3, 2)
+        leaves = tree.n_nodes(tree.horizon)
+        pairs = leaves * (5 * 2) ** 2
+        dim = coordinate_layout(tree).dim
         for kind in (Kind.SECOND_MOMENT, Kind.VARIANCE):
-            mat = dense_matrix(kind, coin2.tree, coin2.book)
-            np.testing.assert_allclose(mat, mat.T, atol=1e-12)
+            dense_matrix(kind, tree, book)
+            tracemalloc.start()
+            try:
+                dense_matrix(kind, tree, book)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * (3 * pairs + 2 * dim**2)
 
     def test_difference_is_rank_one_mean_outer_product(self):
         rng = np.random.default_rng(13)

@@ -7,9 +7,10 @@ stagewise spectral sets against the dense eigenvalues, and ``compare``
 runs both solve routes and reports how far apart they land.
 
 Reports are JSON with sorted keys and no timestamps, so identical inputs
-produce byte-identical output.  Exit codes: 0 success, 1 invalid input,
-2 infeasible problem, 3 numerical failure.  Set ``REINSQP_LOG`` to a
-level name (DEBUG, INFO, ...) for diagnostics on stderr.
+produce byte-identical output.  Exit codes: 0 success, 1 invalid input
+(usage errors and out-of-range options included), 2 infeasible problem,
+3 numerical failure.  Set ``REINSQP_LOG`` to a level name (DEBUG, INFO,
+...) for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -70,16 +72,10 @@ def _emit(args, payload: dict) -> None:
 
 
 def _plan_payload(tree: ScenarioTree, plan: PortfolioProcess) -> dict:
-    stages = []
-    for k in range(tree.last_issue + 1):
-        stages.append(
-            {
-                "issue_time": k,
-                "nodes": [int(i) for i in tree.node_ids[k]],
-                "positions": plan.stage(k).values.tolist(),
-            }
-        )
-    return {"stages": stages}
+    return {"stages": [
+        {"issue_time": k, "nodes": tree.node_ids[k].tolist(), "positions": s.values.tolist()}
+        for k, s in enumerate(plan.stages)
+    ]}
 
 
 def _multiplier_payload(tree: ScenarioTree, mults: MultiplierSet) -> dict:
@@ -366,8 +362,32 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input (exit 1); argparse's 2 means infeasible here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _ranged(cast, ok, what: str):
+    """An argparse type: ``cast`` of the text, which must pass ``ok``."""
+
+    def parse(text: str):
+        if not ok(value := cast(text)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_COUNT = _ranged(int, lambda n: n >= 0, "a nonnegative integer")
+_TOLERANCE = _ranged(float, lambda x: 0 < x < math.inf, "a finite positive number")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reinsqp",
         description="Multiperiod underwriting portfolios on scenario trees.",
     )
@@ -387,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the mean floor")
             p.add_argument("--sigma2", type=float, default=None,
                            help="override the variance cap")
-            p.add_argument("--tol-kkt", type=float, default=multipliers.KKT_TOL,
+            p.add_argument("--tol-kkt", type=_TOLERANCE, default=multipliers.KKT_TOL,
                            help="optimality tolerance")
-            p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+            p.add_argument("--max-iter", type=_COUNT, default=DEFAULT_MAX_ITER,
                            help="projection cycle budget")
         if seeded:
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", type=_COUNT, default=0,
                            help="seed for the randomized self-checks")
 
     p = sub.add_parser("validate", help="check a scenario file and report every problem")
@@ -402,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="structured approximation ladder")
     add_common(p)
     p.add_argument("--frontier-csv", help="write a mean-floor/variance frontier CSV here")
-    p.add_argument("--frontier-points", type=int, default=DEFAULT_FRONTIER_POINTS,
+    p.add_argument("--frontier-points", default=DEFAULT_FRONTIER_POINTS,
+                   type=_ranged(int, lambda n: n >= 1, "a positive integer"),
                    help="floors in the frontier sweep")
     p.set_defaults(func=cmd_solve)
 

@@ -227,9 +227,8 @@ def back_substitute(
             (stacked,) = images(tree, book, range(k, k + 1), np.column_stack(scalars))
             for image in stacked:
                 acc -= f * image
-        plan.stages[k] = diag_block_inverse(
-            kind, coeffs, tree, k, k, AdaptedVariable(k, acc)
-        )
+        solved = diag_block_inverse(kind, coeffs, tree, k, k, AdaptedVariable(k, acc))
+        plan.stage(k).values[...] = solved.values
         if k < tree.last_issue:
             scalars.append(leaf_scalar(kind, tree, book, k, plan.stage(k)))
     return plan

@@ -191,11 +191,9 @@ def deterministic_solution(
     except Infeasible as exc:
         raise InfeasibleDeterministic(str(exc)) from exc
 
-    def broadcast(flat: np.ndarray) -> PortfolioProcess:
-        blocks = flat.reshape(len(stages), nc)
-        return PortfolioProcess.from_arrays(
-            tree, [np.tile(blocks[k], (tree.n_nodes(k), 1)) for k in stages]
-        )
+    def broadcast(blocks: np.ndarray) -> PortfolioProcess:
+        at_nodes = np.repeat(blocks.reshape(-1, nc), [tree.n_nodes(k) for k in stages], axis=0)
+        return PortfolioProcess.from_flat(tree, at_nodes.ravel())
 
     return DeterministicSolution(
         plan=broadcast(res.x),
@@ -292,15 +290,9 @@ def _projection_cycle(
         leaf_scalar(kind, tree, book, l, relaxed.stage(l))
         for l in range(tree.last_issue + 1)
     ]
-    plan_stages, nu_stages = [], []
-    for k in range(tree.last_issue + 1):
-        positions, bounds = _project_stage(
-            tree, book, moments, k, weighted, relaxed, kind, scalars
-        )
-        plan_stages.append(positions)
-        nu_stages.append(bounds)
-    plan = PortfolioProcess(tree, plan_stages)
-    nu_new = PortfolioProcess(tree, nu_stages)
+    parts = [_project_stage(tree, book, moments, k, weighted, relaxed, kind, scalars)
+             for k in range(tree.last_issue + 1)]
+    plan, nu_new = (PortfolioProcess(tree, stages) for stages in zip(*parts))
     return MultiplierSet(roe_w, mean_w, nu_new), plan, relaxed
 
 
@@ -379,20 +371,15 @@ def kkt_verify(
 
     report = evaluate_constraints(tree, book, config, plan)
     mean_slack = report.mean_slack
-    infeas = _worst(
-        -report.roe_slacks,
-        abs(mean_slack) if pinned else -mean_slack,
-        *(-eta.values for eta in plan.stages),
-    )
+    infeas = _worst(-report.roe_slacks, abs(mean_slack) if pinned else -mean_slack, -plan.flat)
 
-    roe, mean = mults.roe, mults.mean
+    roe, mean, nu = mults.roe, mults.mean, mults.bounds.flat
     compl = _worst(
         np.abs(roe * report.roe_slacks) / (1.0 + np.abs(roe)),
         [] if pinned else abs(mean * mean_slack) / (1.0 + abs(mean)),
-        *(np.abs(nu.values * eta.values) / (1.0 + np.abs(nu.values))
-          for nu, eta in zip(mults.bounds.stages, plan.stages)),
+        np.abs(nu * plan.flat) / (1.0 + np.abs(nu)),
     )
-    sign = _worst(-roe, [] if pinned else -mean, *(-nu.values for nu in mults.bounds.stages))
+    sign = _worst(-roe, [] if pinned else -mean, -nu)
 
     return KktReport(stationarity, infeas, compl, sign, tol)
 
@@ -463,6 +450,16 @@ def iterate(
     if moments is None:
         moments = compute_moments(tree, book)
     gram = l_gram(tree, book, config, moments, kind=form.kind)
+    return _ladder(tree, book, config, moments, gram, max_iter, tol, form)
+
+
+def _ladder(tree, book, config, moments, gram, max_iter, tol, form) -> IterationResult:
+    """:func:`iterate` after its Gram build, which does not depend on the
+    mean floor, so the max-mean search builds it once for all floors.  The
+    cycles count their residual misses on a copy of ``gram``."""
+    if max_iter < 0:
+        raise InputError(f"max_iter must be >= 0, got {max_iter}")
+    gram = dataclasses.replace(gram)
     det = deterministic_solution(tree, book, config, moments, gram.reps, form)
     mults, best, history = det.multipliers, None, []
     with np.errstate(all="ignore"):
@@ -537,10 +534,11 @@ def iterate_max_mean(
     if cap is None:
         raise InputError("the mean-maximal form needs a variance cap")
     moments = compute_moments(tree, book)
+    gram = l_gram(tree, book, config, moments)
 
     def solve_at(floor: float) -> tuple[IterationResult, float, float, float]:
         cfg = dataclasses.replace(config, mean_floor=floor, variance_cap=None)
-        res = iterate(tree, book, cfg, max_iter=max_iter, tol=tol, moments=moments)
+        res = _ladder(tree, book, cfg, moments, gram, max_iter, tol, Form.MIN_VARIANCE)
         var = variance_final(tree, book, res.plan)
         _require_converged(floor, cap)(res, var)
         return res, var, mean_final(tree, book, res.plan), res.multipliers.mean

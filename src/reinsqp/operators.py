@@ -11,13 +11,14 @@ Linear functionals of the problem (expected final utility, expected
 profitability growth) are realized in the same space by representer
 processes, built here from conditional expectations of the contract book.
 
-The dense matrices of both forms are assembled by direct leaf enumeration,
-deliberately independent of the conditional-expectation route used by
-``apply``, so the two can check each other.  Each leaf holds one nonzero
-of the unit plans' final utilities per (issue stage, contract); those
-nonzeros are kept as an index array and a value array of shape
-``(leaves, stages * contracts)``, and the Gram matrix is one scatter-add
-of every leaf's pairwise products.
+The dense matrices of both forms live in the oracle's coordinates: a
+plan's ``flat`` array scaled by each entry's square-root path probability.
+They are assembled by direct leaf enumeration, deliberately independent
+of the conditional-expectation route used by ``apply``, so the two can
+check each other.  Each leaf holds one nonzero of the unit plans' final
+utilities per (issue stage, contract); those nonzeros are kept as an
+index array and a value array of shape ``(leaves, stages * contracts)``,
+and the Gram matrix is one scatter-add of every leaf's pairwise products.
 """
 
 from __future__ import annotations
@@ -137,24 +138,18 @@ def representers(
     against that many random plans and a failure raises.
     """
     config.check_horizon(tree)
-    mean_stages = []
-    for k in range(tree.last_issue + 1):
-        mean_stages.append(tree.conditional_expectation(book.final_utility(k), k))
-    mean_rep = PortfolioProcess(tree, mean_stages)
-
+    mean_rep = PortfolioProcess(tree, [tree.conditional_expectation(book.final_utility(k), k)
+                                       for k in range(tree.last_issue + 1)])
     roe_reps = []
     for t in range(tree.horizon):
         rate = float(config.roe_rates[t])
-        stages = []
-        for k in range(tree.last_issue + 1):
-            if k > t:
-                stages.append(tree.zeros(k, tree.n_contracts))
-                continue
+        rep = PortfolioProcess.zeros(tree)
+        for k in range(min(t, tree.last_issue) + 1):
             nxt = book.utility(k, t + 1).values
             now = tree.lift(book.utility(k, t), t + 1).values
             diff = tree.adapted(t + 1, nxt - (1.0 + rate) * now)
-            stages.append(tree.conditional_expectation(diff, k))
-        roe_reps.append(PortfolioProcess(tree, stages))
+            rep.stage(k).values[...] = tree.conditional_expectation(diff, k).values
+        roe_reps.append(rep)
     reps = Representers(mean_rep, roe_reps)
 
     if self_check > 0:
@@ -168,11 +163,7 @@ def _verify_representers(tree, book, config, reps, n_checks, rng):
     # functionals they stand for, so probe with random plans
     for _ in range(n_checks):
         plan = PortfolioProcess.from_arrays(
-            tree,
-            [
-                rng.standard_normal((tree.n_nodes(k), tree.n_contracts))
-                for k in range(tree.last_issue + 1)
-            ],
+            tree, [rng.standard_normal(s.values.shape) for s in reps.mean.stages]
         )
         scale = 1.0 + plan.max_abs()
         got = inner_product(tree, reps.mean, plan)
@@ -195,23 +186,6 @@ def _verify_representers(tree, book, config, reps, n_checks, rng):
 # -- dense coordinates ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoordinateLayout:
-    """Flat indexing of plan coordinates: stage-major, node, then contract."""
-
-    offsets: tuple[int, ...]
-    dim: int
-
-
-def coordinate_layout(tree: ScenarioTree) -> CoordinateLayout:
-    offsets = []
-    total = 0
-    for k in range(tree.last_issue + 1):
-        offsets.append(total)
-        total += tree.n_nodes(k) * tree.n_contracts
-    return CoordinateLayout(tuple(offsets), total)
-
-
 def dense_matrix(
     kind: Kind,
     tree: ScenarioTree,
@@ -221,13 +195,15 @@ def dense_matrix(
     """Assemble the chosen form's Gram matrix in probability-weighted
     coordinates, by leaf enumeration.
 
-    Coordinate (k, v, i) is the unit plan "one contract i at node v, issue
-    time k", scaled by the square root of the node's path probability.  Its
-    final utility at a leaf is ``u_k[leaf, i] / sqrt(p_v)`` if v is the
-    leaf's depth-k ancestor and 0 otherwise, so each leaf has one nonzero
-    per (issue stage, contract).  ``idx[leaf, (k, i)]`` holds that
-    nonzero's coordinate and ``val[leaf, (k, i)]`` its value.  Entry (a, b)
-    sums ``p_leaf * (val_a * val_b)`` over the leaves, every entry in one
+    Coordinate (k, v, i) sits where a plan's ``flat`` keeps that entry,
+    at ``tree.plan_offsets[k] + v * n_contracts + i``.  It is the unit plan
+    "one contract i at node v, issue time k", scaled by the square root of
+    the node's path probability.  Its final utility at a leaf is
+    ``u_k[leaf, i] / sqrt(p_v)`` if v is the leaf's depth-k ancestor and 0
+    otherwise, so each leaf has one nonzero per (issue stage, contract).
+    ``idx[leaf, (k, i)]`` holds that nonzero's coordinate and
+    ``val[leaf, (k, i)]`` its value.  Entry (a, b) sums
+    ``p_leaf * (val_a * val_b)`` over the leaves, every entry in one
     scatter-add over all leaves' pairs; the variance form subtracts
     ``m m^T``, with ``m_a`` the sum of ``p_leaf * val_a``.  A pair's weight
     is the same number in both orders, so the matrix is exactly symmetric.
@@ -238,10 +214,9 @@ def dense_matrix(
     the matrix is not built: the input is valid, but too large for a dense
     method.
     """
-    layout = coordinate_layout(tree)
-    if layout.dim > max_dim:
-        raise NumericalFailure(f"dense dimension {layout.dim} exceeds cap {max_dim}")
-    dim, nc = layout.dim, tree.n_contracts
+    dim, nc = tree.plan_offsets[-1], tree.n_contracts
+    if dim > max_dim:
+        raise NumericalFailure(f"dense dimension {dim} exceeds cap {max_dim}")
     p_leaf = tree.path_prob[tree.horizon]
     leaves = len(p_leaf)
     idx = np.empty((leaves, tree.last_issue + 1, nc), dtype=np.intp)
@@ -250,7 +225,7 @@ def dense_matrix(
     for d in range(tree.horizon, -1, -1):
         # anc is the row of each leaf's depth-d ancestor
         if d <= tree.last_issue:
-            idx[:, d] = layout.offsets[d] + nc * anc[:, None] + np.arange(nc)
+            idx[:, d] = tree.plan_offsets[d] + nc * anc[:, None] + np.arange(nc)
             val[:, d] = book.settled[:, d] / np.sqrt(tree.path_prob[d][anc])[:, None]
         if d > 0:
             anc = tree.parent_row[d][anc]

@@ -1,7 +1,8 @@
 """Dense brute-force reference pipeline.
 
 Everything here works in probability-weighted flat coordinates, where the
-tree's inner product becomes the Euclidean one: plans map to vectors, the
+tree's inner product becomes the Euclidean one: a plan maps to its
+``flat`` array times each coordinate's square-root path probability, the
 quadratic forms to explicit Gram matrices assembled by leaf enumeration,
 linear functionals to plain rows, and the underwriting problems to dense
 quadratic programs.  The Gram matrices do not touch the structured
@@ -28,13 +29,7 @@ import numpy as np
 
 from .contracts import ContractBook
 from .errors import Infeasible, InputError, NumericalFailure
-from .operators import (
-    CoordinateLayout,
-    Kind,
-    coordinate_layout,
-    dense_matrix,
-    representers,
-)
+from .operators import Kind, dense_matrix, representers
 from .portfolio import ConstraintConfig, Form
 from .qp import QPResult, lp_maximum, solve_qp
 from .tree import PortfolioProcess, ScenarioTree
@@ -49,30 +44,24 @@ CAP_TOL = 1e-6
 MAX_FLOOR_STEPS = 80
 
 
+def _root_prob(tree: ScenarioTree) -> np.ndarray:
+    """The square root of each plan coordinate's path probability."""
+    nodes = tree.path_prob[: tree.last_issue + 1]
+    return np.repeat(np.sqrt(np.concatenate(nodes)), tree.n_contracts)
+
+
 def to_coords(tree: ScenarioTree, plan: PortfolioProcess) -> np.ndarray:
-    """Flatten a plan into probability-weighted coordinates."""
-    layout = coordinate_layout(tree)
-    out = np.zeros(layout.dim)
-    for k in range(tree.last_issue + 1):
-        w = np.sqrt(tree.path_prob[k])[:, None]
-        base = layout.offsets[k]
-        block = plan.stage(k).values * w
-        out[base : base + block.size] = block.ravel()
-    return out
+    """A plan in probability-weighted coordinates: its ``flat`` array
+    scaled by each coordinate's square-root path probability."""
+    return plan.flat * _root_prob(tree)
 
 
 def from_coords(tree: ScenarioTree, coords: np.ndarray) -> PortfolioProcess:
     """Inverse of :func:`to_coords`."""
-    layout = coordinate_layout(tree)
-    if coords.shape != (layout.dim,):
-        raise InputError(f"coordinate vector has shape {coords.shape}, wanted ({layout.dim},)")
-    arrays = []
-    for k in range(tree.last_issue + 1):
-        nk, nc = tree.n_nodes(k), tree.n_contracts
-        base = layout.offsets[k]
-        block = coords[base : base + nk * nc].reshape(nk, nc)
-        arrays.append(block / np.sqrt(tree.path_prob[k])[:, None])
-    return PortfolioProcess.from_arrays(tree, arrays)
+    dim = tree.plan_offsets[-1]
+    if coords.shape != (dim,):
+        raise InputError(f"coordinate vector has shape {coords.shape}, wanted ({dim},)")
+    return PortfolioProcess.from_flat(tree, coords / _root_prob(tree))
 
 
 @dataclass
@@ -83,7 +72,6 @@ class DenseProblem:
     gram: np.ndarray
     rows: np.ndarray
     levels: np.ndarray
-    layout: CoordinateLayout
     tree: ScenarioTree = field(repr=False)
     book: ContractBook = field(repr=False)
     config: ConstraintConfig = field(repr=False)
@@ -103,9 +91,7 @@ def assemble(
     """
     gram = dense_matrix(kind, tree, book)
     rows, levels = constraint_rows(tree, book, config)
-    return DenseProblem(
-        kind, gram, rows, levels, coordinate_layout(tree), tree, book, config
-    )
+    return DenseProblem(kind, gram, rows, levels, tree, book, config)
 
 
 def dense_spectrum(problem: DenseProblem) -> np.ndarray:
@@ -119,7 +105,7 @@ def dense_solve_linear(
     """Solve (form - shift) plan = rhs densely; returns the plan and its
     relative residual, which must clear the dense tolerance."""
     b = to_coords(problem.tree, rhs)
-    a = problem.gram - shift * np.eye(problem.layout.dim)
+    a = problem.gram - shift * np.eye(len(b))
     x = np.linalg.solve(a, b)
     denom = float(np.linalg.norm(b)) or 1.0
     resid = float(np.linalg.norm(a @ x - b)) / denom
@@ -209,9 +195,8 @@ def constraint_rows(
     """The constraint functionals as coordinate rows (profitability rows
     first, mean last) together with their levels.  Much cheaper than
     :func:`assemble` when no Gram matrix is needed."""
-    reps = representers(tree, book, config)
-    rows = np.array([to_coords(tree, r) for r in reps.all_rows()])
-    return rows, config.levels(tree)
+    rows = np.array([r.flat for r in representers(tree, book, config).all_rows()])
+    return rows * _root_prob(tree), config.levels(tree)
 
 
 def max_attainable_mean(rows: np.ndarray, levels: np.ndarray) -> float | None:

@@ -64,7 +64,11 @@ class ConstraintConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "roe_rates", np.asarray(self.roe_rates, dtype=float))
-        if self.variance_cap is not None and self.variance_cap <= 0:
+        for name in ("roe_rates", "mean_floor", "variance_cap", "initial_equity"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise InputError(f"{name} must be finite, got {value}")
+        if self.variance_cap is not None and not self.variance_cap > 0:
             raise InputError(f"variance cap must be positive, got {self.variance_cap}")
         if self.initial_equity < 0:
             raise InputError(f"initial equity must be >= 0, got {self.initial_equity}")

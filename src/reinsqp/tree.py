@@ -14,12 +14,18 @@ then one sparse product per level, and lifting one gather.  The columns of
 a block are averaged independently, so a block whose columns are meant for
 different depths is swept up once and each column read off at its own
 depth, with the same bits as a sweep of that column alone.
+
+A plan is one flat array, stage-major, then node, then contract.  The
+tree caches where each stage starts (``plan_offsets``); a plan's stages
+are views into its array, and the oracle's coordinates are that array,
+scaled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter
 
 import numpy as np
@@ -218,6 +224,13 @@ class ScenarioTree:
     def path_probability(self, depth: int, node_id: int) -> float:
         return float(self.path_prob[depth][self.node_row(depth, node_id)])
 
+    @cached_property
+    def plan_offsets(self) -> tuple[int, ...]:
+        """Where each issue stage starts in a flat plan (stage-major, node,
+        contract), then the plan's size."""
+        sizes = [self.n_nodes(k) * self.n_contracts for k in range(self.last_issue + 1)]
+        return tuple(accumulate(sizes, initial=0))
+
     # -- adapted-variable calculus -----------------------------------------
 
     def adapted(self, depth: int, values: np.ndarray) -> AdaptedVariable:
@@ -331,8 +344,12 @@ class ScenarioTree:
 class PortfolioProcess:
     """An adapted underwriting plan: one vector of positions per issue time.
 
-    Stage ``k`` holds an ``(n_nodes(k), n_contracts)`` array: the volumes of
-    each contract written at every depth-k node.
+    The plan is one float array, ``flat``, in stage-major, node, contract
+    order.  ``stages`` is a tuple of views into it: stage ``k``, at
+    ``tree.plan_offsets[k]``, holds the ``(n_nodes(k), n_contracts)``
+    volumes of each contract written at every depth-k node.  The
+    constructor copies its stages into a new ``flat``; arithmetic, ``copy``,
+    ``min_value`` and ``max_abs`` are each one numpy operation on ``flat``.
     """
 
     def __init__(self, tree: ScenarioTree, stages: list[AdaptedVariable]):
@@ -348,15 +365,31 @@ class PortfolioProcess:
                     f"stage {k} has shape {stage.values.shape}, expected "
                     f"({tree.n_nodes(k)}, {tree.n_contracts})"
                 )
-        self.tree = tree
-        self.stages = stages
+        self.tree, self._stages = tree, None
+        self.flat = np.concatenate([s.values.ravel() for s in stages], dtype=float)
+
+    @classmethod
+    def from_flat(cls, tree: ScenarioTree, flat: np.ndarray) -> "PortfolioProcess":
+        """The plan whose ``flat`` is ``flat`` itself, not a copy."""
+        size = tree.plan_offsets[-1]
+        if flat.shape != (size,):
+            raise DimensionMismatch(f"flat plan has shape {flat.shape}, wanted ({size},)")
+        plan = cls.__new__(cls)
+        plan.tree, plan.flat, plan._stages = tree, flat, None
+        return plan
+
+    @property
+    def stages(self) -> tuple[AdaptedVariable, ...]:
+        """Each stage's view into ``flat``, made on first use."""
+        if self._stages is None:
+            at, nc = self.tree.plan_offsets, self.tree.n_contracts
+            self._stages = tuple(AdaptedVariable(k, self.flat[at[k] : at[k + 1]].reshape(-1, nc))
+                                 for k in range(len(at) - 1))
+        return self._stages
 
     @classmethod
     def zeros(cls, tree: ScenarioTree) -> "PortfolioProcess":
-        return cls(
-            tree,
-            [tree.zeros(k, tree.n_contracts) for k in range(tree.last_issue + 1)],
-        )
+        return cls.from_flat(tree, np.zeros(tree.plan_offsets[-1]))
 
     @classmethod
     def from_arrays(cls, tree: ScenarioTree, arrays: list[np.ndarray]) -> "PortfolioProcess":
@@ -366,42 +399,24 @@ class PortfolioProcess:
         return self.stages[k]
 
     def copy(self) -> "PortfolioProcess":
-        return PortfolioProcess(
-            self.tree,
-            [AdaptedVariable(s.depth, s.values.copy()) for s in self.stages],
-        )
+        return PortfolioProcess.from_flat(self.tree, self.flat.copy())
 
     def __add__(self, other: "PortfolioProcess") -> "PortfolioProcess":
-        return PortfolioProcess(
-            self.tree,
-            [
-                AdaptedVariable(a.depth, a.values + b.values)
-                for a, b in zip(self.stages, other.stages)
-            ],
-        )
+        return PortfolioProcess.from_flat(self.tree, self.flat + other.flat)
 
     def __sub__(self, other: "PortfolioProcess") -> "PortfolioProcess":
-        return PortfolioProcess(
-            self.tree,
-            [
-                AdaptedVariable(a.depth, a.values - b.values)
-                for a, b in zip(self.stages, other.stages)
-            ],
-        )
+        return PortfolioProcess.from_flat(self.tree, self.flat - other.flat)
 
     def __mul__(self, scalar: float) -> "PortfolioProcess":
-        return PortfolioProcess(
-            self.tree,
-            [AdaptedVariable(s.depth, s.values * scalar) for s in self.stages],
-        )
+        return PortfolioProcess.from_flat(self.tree, self.flat * scalar)
 
     __rmul__ = __mul__
 
     def min_value(self) -> float:
-        return min(float(s.values.min()) for s in self.stages)
+        return float(self.flat.min())
 
     def max_abs(self) -> float:
-        return max(float(np.abs(s.values).max()) for s in self.stages)
+        return float(np.abs(self.flat).max())
 
 
 def inner_product(tree: ScenarioTree, a: PortfolioProcess, b: PortfolioProcess) -> float:

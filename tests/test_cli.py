@@ -373,6 +373,60 @@ class TestSingularPivot:
         assert parse_report(out)["report_type"] == "oracle"
 
 
+def exit_code(capsys, *argv):
+    """``main``'s exit status, also when argparse exits, and its stderr."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    return rc, capsys.readouterr().err
+
+
+class TestBadOptions:
+    # out-of-range levels and options are bad input, caught where they
+    # enter, never a traceback, a NaN report or another exit class
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--e", "nan"),
+            ("oracle", "--e", "nan"),
+            ("solve", "--e", "inf"),
+            ("oracle", "--e", "inf"),
+            ("solve", "--sigma2", "nan"),
+            ("solve", "--sigma2", "inf"),
+            ("oracle", "--form", "max-mean", "--sigma2", "nan"),
+            ("solve", "--max-iter", "-1"),
+            ("solve", "--frontier-points", "-1", "--frontier-csv", "frontier.csv"),
+            ("solve", "--frontier-points", "0", "--frontier-csv", "frontier.csv"),
+            ("oracle", "--tol-kkt", "nan", "--strict"),
+            ("solve", "--tol-kkt", "0"),
+            ("solve", "--seed", "-1"),
+        ],
+    )
+    def test_out_of_range_exits_one(self, capsys, coin_file, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        rc, err = exit_code(capsys, *argv, "--input", coin_file)
+        assert rc == 1
+        assert "error: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "frontier.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve",), ("solve", "--max-iter", "abc"), (), ("solve", "--no-such-option")],
+        ids=["no-input", "not-an-int", "no-command", "unknown-option"],
+    )
+    def test_usage_errors_are_bad_input(self, capsys, coin_file, argv):
+        extra = ("--input", coin_file) if len(argv) > 1 else ()
+        rc, err = exit_code(capsys, *argv, *extra)
+        assert rc == 1
+        assert "usage: reinsqp" in err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("solve", "--help")])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        assert exit_code(capsys, *argv)[0] == 0
+
+
 class TestProcessLevel:
     def run(self, *argv, env_extra=None):
         env = dict(os.environ)
@@ -432,6 +486,11 @@ class TestProcessLevel:
         chatty = self.run(*args, env_extra={"REINSQP_LOG": "INFO"})
         assert "INFO reinsqp.cli" not in quiet.stderr
         assert "ladder finished" in chatty.stderr
+
+    def test_non_finite_floor_is_bad_input(self, coin_file):
+        res = self.run("solve", "--input", coin_file, "--e", "nan")
+        assert res.returncode == 1
+        assert res.stderr == "error: mean_floor must be finite, got nan\n"
 
     def test_version(self):
         res = self.run("--version")

@@ -473,6 +473,43 @@ class TestIterateMaxMean:
         with pytest.raises(InputError):
             iterate_max_mean(coin2.tree, coin2.book, coin2.config, max_iter=10)
 
+    def test_floors_share_one_gram_build(self, coin2, monkeypatch):
+        calls = []
+        real = multipliers.l_gram
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(multipliers, "l_gram", spy)
+        config = dataclasses.replace(coin2.config, variance_cap=18 / 17)
+        out = iterate_max_mean(coin2.tree, coin2.book, config, max_iter=300)
+        assert len(out.trace) == 3
+        assert len(calls) == 1
+
+    def test_each_floor_counts_the_build_and_its_own_residual_misses(self):
+        # seed-101 draw 9: its cycles' structured solves miss the residual
+        # tolerance, so the count is not 0
+        rng = np.random.default_rng(101)
+        draw = [random_instance(rng) for _ in range(10)][9]
+        moments = compute_moments(draw.tree, draw.book)
+        gram = l_gram(draw.tree, draw.book, draw.config, moments)
+        built = gram.unverified
+        want = iterate(draw.tree, draw.book, draw.config, max_iter=100).fallbacks
+        for _ in range(2):
+            res = multipliers._ladder(draw.tree, draw.book, draw.config, moments, gram, 100,
+                                      multipliers.KKT_TOL, Form.MIN_VARIANCE)
+            assert res.fallbacks == want > built
+        assert gram.unverified == built
+
+    def test_negative_cycle_budget_is_bad_input(self, coin2):
+        for form in (Form.MIN_VARIANCE, Form.FIXED_MEAN):
+            with pytest.raises(InputError, match="max_iter must be >= 0, got -1"):
+                iterate(coin2.tree, coin2.book, coin2.config, max_iter=-1, form=form)
+        config = dataclasses.replace(coin2.config, variance_cap=18 / 17)
+        with pytest.raises(InputError, match="max_iter must be >= 0, got -1"):
+            iterate_max_mean(coin2.tree, coin2.book, config, max_iter=-1)
+
     def test_diverged_floor_zero_ladder_is_not_infeasible(self):
         # seed-101 acceptance instance 8 (two issue stages): the oracle's
         # max-mean floor at twice its minimal variance is about 1.55, but

@@ -11,7 +11,6 @@ from reinsqp.errors import DimensionMismatch
 from reinsqp.operators import (
     Kind,
     apply,
-    coordinate_layout,
     dense_matrix,
     images,
     leaf_scalar,
@@ -214,7 +213,7 @@ class TestDenseMatrix:
         tree, book = ternary_tree_book(np.random.default_rng(0), 4, 3, 2)
         leaves = tree.n_nodes(tree.horizon)
         pairs = leaves * (5 * 2) ** 2
-        dim = coordinate_layout(tree).dim
+        dim = tree.plan_offsets[-1]
         for kind in (Kind.SECOND_MOMENT, Kind.VARIANCE):
             dense_matrix(kind, tree, book)
             tracemalloc.start()
@@ -237,8 +236,7 @@ class TestDenseMatrix:
 
     def test_coordinate_round_trip(self, coin2):
         rng = np.random.default_rng(2)
-        layout = coordinate_layout(coin2.tree)
-        assert layout.dim == 3
+        assert coin2.tree.plan_offsets[-1] == 3
         x = rng.standard_normal(3)
         np.testing.assert_allclose(to_coords(coin2.tree, from_coords(coin2.tree, x)), x, atol=1e-14)
 

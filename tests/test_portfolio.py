@@ -143,3 +143,26 @@ class TestConfig:
 
         with pytest.raises(InputError):
             bad.check_horizon(coin2.tree)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("roe_rates", [0.0, np.inf], "roe_rates must be finite"),
+            ("roe_rates", [np.nan, 0.0], "roe_rates must be finite"),
+            ("mean_floor", np.nan, "mean_floor must be finite, got nan"),
+            ("mean_floor", np.inf, "mean_floor must be finite, got inf"),
+            ("mean_floor", -np.inf, "mean_floor must be finite, got -inf"),
+            ("variance_cap", np.nan, "variance_cap must be finite, got nan"),
+            ("variance_cap", np.inf, "variance_cap must be finite, got inf"),
+            ("variance_cap", 0.0, "variance cap must be positive, got 0.0"),
+            ("initial_equity", np.inf, "initial_equity must be finite, got inf"),
+            ("initial_equity", np.nan, "initial_equity must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_fields_rejected(self, coin2, field, value, message):
+        import dataclasses
+
+        from reinsqp.errors import InputError
+
+        with pytest.raises(InputError, match=message):
+            dataclasses.replace(coin2.config, **{field: value})

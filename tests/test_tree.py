@@ -346,3 +346,88 @@ class TestPortfolioProcess:
             assert inner_product(tree, p, q) == pytest.approx(
                 inner_product(tree, q, p), rel=1e-12
             )
+
+
+class TestFlatPlan:
+    """A plan is one flat array; its stages are views into it."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        rng = np.random.default_rng(41)
+        return [random_instance(rng).tree for _ in range(4)]
+
+    @staticmethod
+    def arrays(tree, rng, order="C"):
+        return [np.asarray(rng.standard_normal((tree.n_nodes(k), tree.n_contracts)), order=order)
+                for k in range(tree.last_issue + 1)]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stages_are_contiguous_views_of_flat(self, trees, order):
+        rng = np.random.default_rng(3)
+        for tree in trees:
+            arrays = self.arrays(tree, rng, order)
+            plan = PortfolioProcess.from_arrays(tree, arrays)
+            assert plan.flat.shape == (tree.plan_offsets[-1],)
+            for k, stage in enumerate(plan.stages):
+                start, stop = tree.plan_offsets[k], tree.plan_offsets[k + 1]
+                assert stage.values.flags.c_contiguous
+                assert np.shares_memory(stage.values, plan.flat[start:stop])
+                assert np.array_equal(stage.values.ravel(), plan.flat[start:stop])
+                assert np.array_equal(stage.values, arrays[k])
+                stage.values[-1, -1] = 7.5
+                assert plan.flat[stop - 1] == 7.5
+
+    def test_the_list_constructor_copies_and_stages_stay_bound(self, trees):
+        rng = np.random.default_rng(4)
+        tree = trees[0]
+        stages = [tree.adapted(k, a) for k, a in enumerate(self.arrays(tree, rng))]
+        plan = PortfolioProcess(tree, stages)
+        before = plan.flat.copy()
+        stages[0].values[...] = 99.0
+        assert np.array_equal(plan.flat, before)
+        assert not np.shares_memory(stages[0].values, plan.flat)
+        with pytest.raises(TypeError):
+            plan.stages[0] = stages[0]
+        with pytest.raises(AttributeError):
+            plan.stages = stages
+
+    def test_arithmetic_and_coordinates_match_a_per_stage_reference(self, trees):
+        from reinsqp.oracle import from_coords, to_coords
+
+        rng = np.random.default_rng(5)
+        for tree in trees:
+            a, b = self.arrays(tree, rng), self.arrays(tree, rng, "F")
+            p, q = PortfolioProcess.from_arrays(tree, a), PortfolioProcess.from_arrays(tree, b)
+            roots = [np.sqrt(tree.path_prob[k])[:, None] for k in range(len(a))]
+            coords = rng.standard_normal(tree.plan_offsets[-1])
+            blocks = np.split(coords, tree.plan_offsets[1:-1])
+            cases = [
+                (p + q, [x + y for x, y in zip(a, b)]),
+                (p - q, [x - y for x, y in zip(a, b)]),
+                (p * 1.7, [x * 1.7 for x in a]),
+                (0.3 * q, [y * 0.3 for y in b]),
+                (p.copy(), a),
+                (from_coords(tree, coords),
+                 [c.reshape(x.shape) / r for c, x, r in zip(blocks, a, roots)]),
+            ]
+            for plan, want in cases:
+                for stage, ref in zip(plan.stages, want, strict=True):
+                    assert np.array_equal(stage.values, ref)
+            want = np.concatenate([(x * r).ravel() for x, r in zip(a, roots)])
+            assert np.array_equal(to_coords(tree, p), want)
+
+    def test_copy_owns_its_flat(self, trees):
+        plan = PortfolioProcess.zeros(trees[1])
+        twin = plan.copy()
+        twin.stage(0).values[...] = -1.0
+        assert plan.min_value() == plan.max_abs() == 0.0
+        assert twin.min_value() == -1.0 and twin.max_abs() == 1.0
+
+    def test_coordinates_of_the_wrong_shape_are_bad_input(self, trees):
+        from reinsqp.oracle import from_coords
+
+        tree = trees[0]
+        dim = sum(tree.n_nodes(k) * tree.n_contracts for k in range(tree.last_issue + 1))
+        with pytest.raises(InputError) as exc:
+            from_coords(tree, np.zeros(dim + 1))
+        assert str(exc.value) == f"coordinate vector has shape ({dim + 1},), wanted ({dim},)"

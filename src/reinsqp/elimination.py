@@ -11,15 +11,18 @@ solve costs one short recursion on small moment matrices plus, per stage,
 one leaf scalar and one sweep of the tree: all the off-diagonal block
 images a stage needs form one leaf block, each read off at its own depth.
 
-One top-down recursion serves the solves and the spectra.  Its level
-matrices parameterize the candidate spectra: a number belongs to the
-operator's spectrum exactly when one of the level matrices, with the
+One top-down recursion serves the solves and the spectra, and it records
+each level once, as a :class:`Level`: the raw pivots left after the levels
+above, the centered form's level pivot, both condition numbers and the
+recursion's scalars.  The coefficients of a solve are these levels.  The
+level pivots also parameterize the candidate spectra: a number belongs to
+the operator's spectrum exactly when one of the level pivots, with the
 recursion's scalars evaluated at that number, has it as an eigenvalue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -35,81 +38,41 @@ COND_MAX = 1e12
 RESIDUAL_TOL = 1e-9
 
 
-@dataclass
-class EliminationCoefficients:
-    """State of the stage elimination recursion at a given spectral shift.
+class Level(NamedTuple):
+    """Level n of the elimination, after every stage above n is eliminated.
 
-    ``pivots[n][k]`` is the stage-k diagonal matrix of the raw form after
-    all stages above n have been eliminated (shift included);
-    ``mean_quad[n]`` the pivot-inverse quadratic form of the stage-n mean,
-    ``block_scale[n]`` the common factor carried by off-diagonal blocks at
-    level n, and ``mean_weight[n]`` the total mean-direction weight removed
-    so far.  The centered form's diagonals differ by a rank-one mean term
-    and are derived on demand.
+    ``pivots[k]`` is the raw form's stage-k diagonal (shift included) for
+    k <= n, and ``centered`` the centered form's level pivot: ``pivots[n]``
+    less the mean direction's remaining weight, ``(1 - mean_weight) m m^T``
+    with m the stage-n mean.  ``cond`` and ``centered_cond`` are their
+    condition numbers.  ``mean_quad`` is the pivot-inverse quadratic form
+    of m (NaN when the raw pivot is singular), ``block_scale`` the common
+    factor carried by the level's off-diagonal blocks, and ``mean_weight``
+    the mean-direction weight removed by the levels above.
     """
 
+    n: int
+    pivots: list[np.ndarray]
+    centered: np.ndarray
+    cond: float
+    centered_cond: float
+    mean_quad: float
+    block_scale: float
+    mean_weight: float
+
+
+class EliminationCoefficients(NamedTuple):
+    """The elimination at a spectral shift: ``levels[n]`` is level n."""
+
     shift: float
-    mean_quad: np.ndarray
-    block_scale: np.ndarray
-    mean_weight: np.ndarray
-    pivots: list[list[np.ndarray]]
-    means: list[np.ndarray]
-    #: (level, stage, centered) -> diagonal matrix that passed its
-    #: condition check
-    _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def pivot_cov(self, n: int, k: int) -> np.ndarray:
-        """Centered-form diagonal: the raw pivot minus the remaining
-        rank-one mean contribution."""
-        return _centered(self.pivots[n][k], self.means[k], self.mean_weight[n])
-
-    def checked_pivot(self, n: int, k: int, centered: bool = False) -> np.ndarray:
-        """The level-n stage-k diagonal (raw, or centered), condition-checked
-        on first use; a singular one raises at every use."""
-        key = (n, k, centered)
-        matrix = self._checked.get(key)
-        if matrix is None:
-            matrix = self.pivot_cov(n, k) if centered else self.pivots[n][k]
-            _checked_cond(matrix, n)
-            self._checked[key] = matrix
-        return matrix
+    levels: tuple[Level, ...]
 
 
 def _singular(cond: float) -> bool:
     return not np.isfinite(cond) or cond > COND_MAX
 
 
-def _checked_cond(matrix: np.ndarray, level: int) -> float:
-    cond = float(np.linalg.cond(matrix))
-    if _singular(cond):
-        raise SingularPivot(level, cond)
-    return cond
-
-
-def _centered(pivot: np.ndarray, mean: np.ndarray, mean_weight: float) -> np.ndarray:
-    return pivot - (1.0 - mean_weight) * np.outer(mean, mean)
-
-
-class _Level(NamedTuple):
-    """One level of the elimination: ``pivots[k]`` is the stage-k raw
-    diagonal (shift included) for k <= n, ``cond`` the condition number of
-    ``pivots[n]``, ``mean`` the stage-n mean and ``mean_quad`` its
-    pivot-inverse quadratic form (NaN when the pivot is singular)."""
-
-    n: int
-    pivots: list[np.ndarray]
-    cond: float
-    mean_quad: float
-    block_scale: float
-    mean_weight: float
-    mean: np.ndarray
-
-    def centered(self) -> np.ndarray:
-        """The level's centered-form diagonal."""
-        return _centered(self.pivots[self.n], self.mean, self.mean_weight)
-
-
-def _recursion(moments: MomentTables, shift: float) -> Iterator[_Level]:
+def _recursion(moments: MomentTables, shift: float) -> Iterator[Level]:
     """Run the stage elimination top-down at ``shift``, one level at a time.
 
     The scalars are driven by the raw-form pivots alone.  A level whose
@@ -122,11 +85,13 @@ def _recursion(moments: MomentTables, shift: float) -> Iterator[_Level]:
     for n in range(moments.last_issue, -1, -1):
         cond = float(np.linalg.cond(pivots[n]))
         m = moments.mean[n]
+        centered = pivots[n] - (1.0 - weight) * np.outer(m, m)
+        centered_cond = float(np.linalg.cond(centered))
         if _singular(cond):
-            yield _Level(n, pivots, cond, np.nan, scale, weight, m)
+            yield Level(n, pivots, centered, cond, centered_cond, np.nan, scale, weight)
             return
         quad = float(m @ np.linalg.solve(pivots[n], m))
-        yield _Level(n, pivots, cond, quad, scale, weight, m)
+        yield Level(n, pivots, centered, cond, centered_cond, quad, scale, weight)
         w = quad * scale * scale
         scale, weight = scale * (1.0 - quad * scale), weight + w
         pivots = [pivots[k] - w * moments.cond_second_moment[n][k] for k in range(n)]
@@ -135,57 +100,42 @@ def _recursion(moments: MomentTables, shift: float) -> Iterator[_Level]:
 def elimination_coefficients(
     moments: MomentTables, shift: float
 ) -> EliminationCoefficients:
-    """Run the stage elimination recursion top-down at the given shift.
+    """The recursion's levels at the given shift, in level order.
 
-    The recursion is identical for both forms: the centered form reuses the
-    raw-form scalars with its own rank-one-corrected diagonals.  A
-    numerically singular pivot raises :class:`SingularPivot` at its level.
+    Both forms share them: the centered form reuses the raw-form scalars
+    with its own level pivots.  A numerically singular raw pivot raises
+    :class:`SingularPivot` at its level.
     """
-    kmax = moments.last_issue
-    mean_quad = np.zeros(kmax + 1)
-    block_scale = np.ones(kmax + 1)
-    mean_weight = np.zeros(kmax + 1)
-    pivots: list[list[np.ndarray]] = [None] * (kmax + 1)
+    levels = []
     for level in _recursion(moments, shift):
-        n = level.n
         if _singular(level.cond):
-            raise SingularPivot(n, level.cond)
-        mean_quad[n] = level.mean_quad
-        block_scale[n] = level.block_scale
-        mean_weight[n] = level.mean_weight
-        pivots[n] = level.pivots + [None] * (kmax - n)
-    coeffs = EliminationCoefficients(
-        shift, mean_quad, block_scale, mean_weight, pivots, list(moments.mean)
-    )
-    # every raw level pivot passed its check above
-    coeffs._checked.update({(n, n, False): pivots[n][n] for n in range(kmax + 1)})
-    return coeffs
+            raise SingularPivot(level.n, level.cond)
+        levels.append(level)
+    return EliminationCoefficients(shift, tuple(levels[::-1]))
 
 
 def diag_block_inverse(
-    kind: Kind,
-    coeffs: EliminationCoefficients,
-    tree: ScenarioTree,
-    n: int,
-    k: int,
-    x: AdaptedVariable,
+    kind: Kind, level: Level, tree: ScenarioTree, x: AdaptedVariable
 ) -> AdaptedVariable:
-    """Invert the level-n stage-k diagonal block on an adapted input.
+    """Invert the level's own diagonal block on a stage-n input.
 
     For the raw form this is one small solve applied at every node.  The
     centered form splits the input into its expectation and the centered
-    remainder, inverting each with its own matrix.
+    remainder, inverting each with its own matrix; a singular centered
+    pivot raises at every use.
     """
-    if x.depth != k:
-        raise InputError(f"stage-{k} input has depth {x.depth}")
-    da = coeffs.checked_pivot(n, k)
+    n = level.n
+    if x.depth != n:
+        raise InputError(f"stage-{n} input has depth {x.depth}")
+    da = level.pivots[n]
     if kind is Kind.SECOND_MOMENT:
-        return AdaptedVariable(k, np.linalg.solve(da, x.values.T).T)
-    db = coeffs.checked_pivot(n, k, centered=True)
-    xbar = tree.path_prob[k] @ x.values
+        return AdaptedVariable(n, np.linalg.solve(da, x.values.T).T)
+    if _singular(level.centered_cond):
+        raise SingularPivot(n, level.centered_cond)
+    xbar = tree.path_prob[n] @ x.values
     centered = x.values - xbar[None, :]
-    out = np.linalg.solve(da, centered.T).T + np.linalg.solve(db, xbar)[None, :]
-    return AdaptedVariable(k, out)
+    out = np.linalg.solve(da, centered.T).T + np.linalg.solve(level.centered, xbar)[None, :]
+    return AdaptedVariable(n, out)
 
 
 def forward_eliminate(
@@ -200,11 +150,11 @@ def forward_eliminate(
     earlier stages."""
     xi = rhs.copy()
     for n in range(tree.last_issue, 0, -1):
-        y = diag_block_inverse(kind, coeffs, tree, n, n, xi.stage(n))
-        f = coeffs.block_scale[n]
+        level = coeffs.levels[n]
+        y = diag_block_inverse(kind, level, tree, xi.stage(n))
         scalar = leaf_scalar(kind, tree, book, n, y)
         for k, (update,) in enumerate(images(tree, book, range(n), scalar[:, None])):
-            xi.stage(k).values[...] -= f * update
+            xi.stage(k).values[...] -= level.block_scale * update
     return xi
 
 
@@ -221,13 +171,13 @@ def back_substitute(
     plan = PortfolioProcess.zeros(tree)
     scalars = []
     for k in range(tree.last_issue + 1):
+        level = coeffs.levels[k]
         acc = xi.stage(k).values.copy()
-        f = coeffs.block_scale[k]
         if scalars:
             (stacked,) = images(tree, book, range(k, k + 1), np.column_stack(scalars))
             for image in stacked:
-                acc -= f * image
-        solved = diag_block_inverse(kind, coeffs, tree, k, k, AdaptedVariable(k, acc))
+                acc -= level.block_scale * image
+        solved = diag_block_inverse(kind, level, tree, AdaptedVariable(k, acc))
         plan.stage(k).values[...] = solved.values
         if k < tree.last_issue:
             scalars.append(leaf_scalar(kind, tree, book, k, plan.stage(k)))
@@ -240,8 +190,6 @@ class StructuredSolve:
 
     plan: PortfolioProcess
     residual: float
-    shift: float
-    kind: Kind
 
     @property
     def residual_ok(self) -> bool:
@@ -290,7 +238,7 @@ def solve(
         refined_resid = norm(tree, refined_leftover) / denom
         if refined_resid < resid:
             plan, resid = refined, refined_resid
-    return StructuredSolve(plan, resid, shift, kind)
+    return StructuredSolve(plan, resid)
 
 
 # -- candidate spectra ------------------------------------------------------
@@ -323,7 +271,7 @@ def spectral_sets(moments: MomentTables, shift: float = 0.0) -> SpectralSets:
     levels_raw, levels_centered = [], []
     for level in _recursion(moments, shift):
         levels_raw.append(_sym_eigs(level.pivots[level.n]) + shift)
-        levels_centered.append(_sym_eigs(level.centered()) + shift)
+        levels_centered.append(_sym_eigs(level.centered) + shift)
     raw = np.sort(np.concatenate(levels_raw))
     centered = np.sort(np.concatenate([raw, *levels_centered]))
     return SpectralSets(shift, levels_raw, levels_centered, raw, centered)
@@ -342,7 +290,7 @@ def spectrum_distance(moments: MomentTables, candidate: float, kind: Kind) -> fl
     for level in _recursion(moments, candidate):
         mats = [level.pivots[level.n]]
         if kind is Kind.VARIANCE:
-            mats.append(level.centered())
+            mats.append(level.centered)
         for mat in mats:
             best = min(best, float(np.abs(_sym_eigs(mat)).min()))
     return best

@@ -94,7 +94,7 @@ def apply(
     """
     weight = _centered(kind, tree, final_utility_rv(tree, book, plan).values)
     stages = images(tree, book, range(tree.last_issue + 1), weight[:, None])
-    return PortfolioProcess(tree, [AdaptedVariable(k, v) for k, (v,) in enumerate(stages)])
+    return PortfolioProcess.from_flat(tree, np.concatenate([v.ravel() for (v,) in stages]))
 
 
 @dataclass

@@ -151,7 +151,8 @@ def form_qp(
 
 def _qp_once(problem: DenseProblem, mean_floor: float, form: Form) -> OracleSolution:
     """Solve ``form`` at ``mean_floor``; an answer that misses the dense
-    optimality system by more than ``CERTIFY_TOL`` raises NumericalFailure."""
+    optimality system by more than ``CERTIFY_TOL``, or whose mean, squared
+    mean or quadratic value overflows, raises NumericalFailure."""
     levels = np.append(problem.levels[:-1], mean_floor)
     res, roe_mults, mean_mult = form_qp(problem.gram, problem.rows, levels, form)
     x, nu, lam = res.x, res.bound_multipliers, np.append(roe_mults, mean_mult)
@@ -171,8 +172,13 @@ def _qp_once(problem: DenseProblem, mean_floor: float, form: Form) -> OracleSolu
         if not value <= CERTIFY_TOL:
             raise NumericalFailure(f"dense QP answer fails its {name} check: {value:.3e}")
 
-    mean_val = float(problem.rows[-1] @ x)
-    quad = float(x @ problem.gram @ x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_val = float(problem.rows[-1] @ x)
+        quad = float(x @ problem.gram @ x)
+    if not (math.isfinite(quad) and math.isfinite(mean_val * mean_val)):
+        raise NumericalFailure(
+            f"dense QP answer overflows: mean {mean_val:.3e}, quadratic value {quad:.3e}"
+        )
     variance = quad - mean_val**2 if problem.kind is Kind.SECOND_MOMENT else quad
     return OracleSolution(
         form=form,

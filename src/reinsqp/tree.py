@@ -420,11 +420,15 @@ class PortfolioProcess:
 
 
 def inner_product(tree: ScenarioTree, a: PortfolioProcess, b: PortfolioProcess) -> float:
-    """The path-probability weighted inner product of two portfolio processes."""
-    total = 0.0
-    for k in range(tree.last_issue + 1):
-        p = tree.path_prob[k]
-        total += float(np.sum(p * row_dot(a.stage(k).values, b.stage(k).values)))
+    """The path-probability weighted inner product of two portfolio processes:
+    one row dot product per node over their ``flat`` arrays, summed stage by
+    stage."""
+    nc = tree.n_contracts
+    rows = row_dot(a.flat.reshape(-1, nc), b.flat.reshape(-1, nc))
+    total, start = 0.0, 0
+    for p in tree.path_prob[: tree.last_issue + 1]:
+        total += float(np.sum(p * rows[start : start + len(p)]))
+        start += len(p)
     return total
 
 

@@ -292,7 +292,7 @@ def test_sign_constrained_projections_at_scale():
 def test_coin_recursion_goldens_survive_dense_recomputation(coin2):
     tree, book = coin2.tree, coin2.book
     moments = compute_moments(tree, book)
-    coeffs = elimination_coefficients(moments, shift=0.0)
+    levels = elimination_coefficients(moments, shift=0.0).levels
 
     # recompute the stage-zero pivot as a dense Schur complement and the
     # raw basis image as a dense matrix column before trusting the frozen
@@ -302,16 +302,16 @@ def test_coin_recursion_goldens_survive_dense_recomputation(coin2):
     basis = basis_plan(tree, 0, 0, 0)
     image = apply(Kind.SECOND_MOMENT, tree, book, basis)
     dense_image = from_coords(tree, raw @ to_coords(tree, basis))
-    recomputed = np.allclose(schur, coeffs.pivots[0][0], atol=1e-12) and all(
+    recomputed = np.allclose(schur, levels[0].pivots[0], atol=1e-12) and all(
         np.allclose(image.stage(k).values, dense_image.stage(k).values, atol=1e-12)
         for k in range(2)
     )
 
     golden = (
-        coeffs.mean_quad[1] == pytest.approx(0.5, abs=1e-12)
-        and coeffs.block_scale[0] == pytest.approx(0.5, abs=1e-12)
-        and coeffs.mean_weight[0] == pytest.approx(0.5, abs=1e-12)
-        and np.allclose(coeffs.pivots[0][0], [[2.5]], atol=1e-12)
+        levels[1].mean_quad == pytest.approx(0.5, abs=1e-12)
+        and levels[0].block_scale == pytest.approx(0.5, abs=1e-12)
+        and levels[0].mean_weight == pytest.approx(0.5, abs=1e-12)
+        and np.allclose(levels[0].pivots[0], [[2.5]], atol=1e-12)
         and np.allclose(image.stage(0).values, [[5.0]], atol=1e-12)
         and np.allclose(image.stage(1).values, [[3.0], [1.0]], atol=1e-12)
     )
@@ -339,25 +339,19 @@ def test_block_inverses_round_trip_off_the_spectra():
                 spectrum_distance(moments, shift, Kind.VARIANCE),
             ) > 1e-3:
                 break
-        coeffs = elimination_coefficients(moments, shift=shift)
-        for n in range(tree.last_issue + 1):
-            for k in range(n + 1):
-                x = tree.adapted(
-                    k, rng.standard_normal((tree.n_nodes(k), tree.n_contracts))
+        for level in elimination_coefficients(moments, shift=shift).levels:
+            n, da = level.n, level.pivots[level.n]
+            x = tree.adapted(n, rng.standard_normal((tree.n_nodes(n), tree.n_contracts)))
+            if kind is Kind.SECOND_MOMENT:
+                forward = tree.adapted(n, (da @ x.values.T).T)
+            else:
+                xbar = tree.path_prob[n] @ x.values
+                centered = x.values - xbar[None, :]
+                forward = tree.adapted(
+                    n, (da @ centered.T).T + (level.centered @ xbar)[None, :]
                 )
-                da = coeffs.pivots[n][k]
-                if kind is Kind.SECOND_MOMENT:
-                    forward = tree.adapted(k, (da @ x.values.T).T)
-                else:
-                    xbar = tree.path_prob[k] @ x.values
-                    centered = x.values - xbar[None, :]
-                    forward = tree.adapted(
-                        k,
-                        (da @ centered.T).T
-                        + (coeffs.pivot_cov(n, k) @ xbar)[None, :],
-                    )
-                back = diag_block_inverse(kind, coeffs, tree, n, k, forward)
-                worst = max(worst, float(np.abs(back.values - x.values).max()))
+            back = diag_block_inverse(kind, level, tree, forward)
+            worst = max(worst, float(np.abs(back.values - x.values).max()))
     _verdict(
         worst <= 1e-10,
         "diagonal block inverses",

@@ -492,6 +492,23 @@ class TestProcessLevel:
         assert res.returncode == 1
         assert res.stderr == "error: mean_floor must be finite, got nan\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "--e", "1e200"),
+            ("oracle", "--e", "1e300"),
+            ("oracle", "--form", "fixed-mean", "--e", "1e160"),
+            ("compare", "--e", "1e300"),
+        ],
+        ids=["oracle-1e200", "oracle-1e300", "fixed-mean-1e160", "compare-1e300"],
+    )
+    def test_overflowing_dense_answer_is_a_numerical_failure(self, coin_file, argv):
+        res = self.run(argv[0], "--input", coin_file, *argv[1:])
+        assert res.returncode == 3
+        assert res.stderr.startswith("numerical failure: dense QP answer overflows: mean 1.000e+")
+        assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+        assert "Infinity" not in res.stdout
+
     def test_version(self):
         res = self.run("--version")
         assert res.returncode == 0

@@ -29,31 +29,33 @@ def coin2_moments(coin2):
 
 class TestCoefficients:
     def test_recursion_values(self, coin2_moments):
-        coeffs = elimination_coefficients(coin2_moments, shift=0.0)
-        np.testing.assert_allclose(coeffs.mean_quad, [1.6, 0.5])
-        np.testing.assert_allclose(coeffs.block_scale, [0.5, 1.0])
-        np.testing.assert_allclose(coeffs.mean_weight, [0.5, 0.0])
+        levels = elimination_coefficients(coin2_moments, shift=0.0).levels
+        np.testing.assert_allclose([lv.mean_quad for lv in levels], [1.6, 0.5])
+        np.testing.assert_allclose([lv.block_scale for lv in levels], [0.5, 1.0])
+        np.testing.assert_allclose([lv.mean_weight for lv in levels], [0.5, 0.0])
+        assert [lv.n for lv in levels] == [0, 1]
 
     def test_pivot_tables(self, coin2_moments):
-        coeffs = elimination_coefficients(coin2_moments, shift=0.0)
-        np.testing.assert_allclose(coeffs.pivots[1][0], [[5.0]])
-        np.testing.assert_allclose(coeffs.pivots[1][1], [[2.0]])
-        np.testing.assert_allclose(coeffs.pivots[0][0], [[2.5]])
+        levels = elimination_coefficients(coin2_moments, shift=0.0).levels
+        np.testing.assert_allclose(levels[1].pivots[0], [[5.0]])
+        np.testing.assert_allclose(levels[1].pivots[1], [[2.0]])
+        np.testing.assert_allclose(levels[0].pivots[0], [[2.5]])
 
     def test_centered_pivots_via_rank_one_correction(self, coin2_moments):
-        coeffs = elimination_coefficients(coin2_moments, shift=0.0)
-        np.testing.assert_allclose(coeffs.pivot_cov(1, 1), [[1.0]])
-        np.testing.assert_allclose(coeffs.pivot_cov(1, 0), [[1.0]])
-        np.testing.assert_allclose(coeffs.pivot_cov(0, 0), [[0.5]])
+        levels = elimination_coefficients(coin2_moments, shift=0.0).levels
+        np.testing.assert_allclose(levels[1].centered, [[1.0]])
+        np.testing.assert_allclose(levels[0].centered, [[0.5]])
+        # both condition numbers come with the level
+        assert [(lv.cond, lv.centered_cond) for lv in levels] == [(1.0, 1.0), (1.0, 1.0)]
 
     def test_shift_enters_top_level_only(self, coin2_moments):
         shifted = elimination_coefficients(coin2_moments, shift=0.25)
-        np.testing.assert_allclose(shifted.pivots[1][1], [[1.75]])
+        np.testing.assert_allclose(shifted.levels[1].pivots[1], [[1.75]])
         # downstream pivots then differ through the recursion, not by
         # another shift subtraction
         d1 = 1.0 / 1.75
         np.testing.assert_allclose(
-            shifted.pivots[0][0], [[5.0 - 0.25 - d1 * 5.0]]
+            shifted.levels[0].pivots[0], [[5.0 - 0.25 - d1 * 5.0]]
         )
 
     def test_singular_pivot_raises(self, coin2_moments):
@@ -80,7 +82,7 @@ class TestSpectralSets:
             kmax = mom.last_issue
             assert len(sets.levels_raw) == kmax + 1
             for n, eigs in zip(range(kmax, -1, -1), sets.levels_raw):
-                pivot = coeffs.pivots[n][n]
+                pivot = coeffs.levels[n].pivots[n]
                 assert np.array_equal(eigs, np.linalg.eigvalsh(0.5 * (pivot + pivot.T)))
 
     def test_sets_end_where_the_elimination_raises(self):
@@ -178,9 +180,9 @@ class TestStructuredSolve:
 
             xi = rhs.copy()
             for n in range(tree.last_issue, 0, -1):
-                y = diag_block_inverse(kind, coeffs, tree, n, n, xi.stage(n))
+                y = diag_block_inverse(kind, coeffs.levels[n], tree, xi.stage(n))
                 for k in range(n):
-                    xi.stage(k).values[...] -= coeffs.block_scale[n] * pair_block(
+                    xi.stage(k).values[...] -= coeffs.levels[n].block_scale * pair_block(
                         kind, tree, book, k, n, y
                     )
             got = forward_eliminate(kind, coeffs, tree, book, rhs)
@@ -191,11 +193,11 @@ class TestStructuredSolve:
             for k in range(tree.last_issue + 1):
                 acc = xi.stage(k).values.copy()
                 for l in range(k):
-                    acc -= coeffs.block_scale[k] * pair_block(
+                    acc -= coeffs.levels[k].block_scale * pair_block(
                         kind, tree, book, k, l, plan.stage(l)
                     )
                 plan.stage(k).values[...] = diag_block_inverse(
-                    kind, coeffs, tree, k, k, AdaptedVariable(k, acc)
+                    kind, coeffs.levels[k], tree, AdaptedVariable(k, acc)
                 ).values
             got = back_substitute(kind, coeffs, tree, book, xi)
             for a, b in zip(got.stages, plan.stages):
@@ -220,42 +222,42 @@ class TestStructuredSolve:
 
 
 class TestDiagBlockInverse:
-    def forward(self, kind, coeffs, tree, n, k, x):
-        da = coeffs.pivots[n][k]
+    def forward(self, kind, level, tree, x):
+        n, da = level.n, level.pivots[level.n]
         if kind is Kind.SECOND_MOMENT:
-            return tree.adapted(k, (da @ x.values.T).T)
-        xbar = tree.path_prob[k] @ x.values
+            return tree.adapted(n, (da @ x.values.T).T)
+        xbar = tree.path_prob[n] @ x.values
         centered = x.values - xbar[None, :]
-        out = (da @ centered.T).T + (coeffs.pivot_cov(n, k) @ xbar)[None, :]
-        return tree.adapted(k, out)
+        out = (da @ centered.T).T + (level.centered @ xbar)[None, :]
+        return tree.adapted(n, out)
 
     def test_singular_centered_pivot_raises_at_every_use(self, coin2, coin2_moments):
         # at shift 1 the raw level-1 pivot is 1 but the centered one is 0
-        coeffs = elimination_coefficients(coin2_moments, shift=1.0)
+        level = elimination_coefficients(coin2_moments, shift=1.0).levels[1]
         x = coin2.tree.adapted(1, np.ones((2, 1)))
         for _ in range(2):
             with pytest.raises(SingularPivot) as exc:
-                diag_block_inverse(Kind.VARIANCE, coeffs, coin2.tree, 1, 1, x)
+                diag_block_inverse(Kind.VARIANCE, level, coin2.tree, x)
             assert exc.value.level == 1 and exc.value.cond == np.inf
-        back = diag_block_inverse(Kind.SECOND_MOMENT, coeffs, coin2.tree, 1, 1, x)
+        back = diag_block_inverse(Kind.SECOND_MOMENT, level, coin2.tree, x)
         np.testing.assert_allclose(back.values, x.values)
 
-    def test_each_pivot_is_condition_checked_once(self, monkeypatch):
+    def test_solves_given_coefficients_compute_no_condition_number(self, monkeypatch):
+        # both condition numbers of every level are computed while the
+        # coefficients are built; the solves only read them
         rng = np.random.default_rng(47)
         inst = random_instance(rng, t_bar=2)
-        tree = inst.tree
-        coeffs = elimination_coefficients(compute_moments(tree, inst.book), shift=-0.3)
+        tree, book = inst.tree, inst.book
+        mom = compute_moments(tree, book)
+        coeffs = elimination_coefficients(mom, shift=-0.3)
         calls = []
         cond = np.linalg.cond
         monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(1) or cond(m))
         for _ in range(3):
-            for k in range(tree.last_issue + 1):
-                x = tree.adapted(k, rng.standard_normal((tree.n_nodes(k), tree.n_contracts)))
-                for kind in (Kind.SECOND_MOMENT, Kind.VARIANCE):
-                    diag_block_inverse(kind, coeffs, tree, k, k, x)
-        # the raw level pivots were checked while building the coefficients;
-        # each centered one is checked on its first use only
-        assert len(calls) == tree.last_issue + 1
+            rhs = random_plan(tree, rng)
+            for kind in (Kind.SECOND_MOMENT, Kind.VARIANCE):
+                solve(kind, tree, book, mom, -0.3, rhs, coeffs=coeffs)
+        assert calls == []
 
     @pytest.mark.parametrize("kind", [Kind.SECOND_MOMENT, Kind.VARIANCE])
     def test_round_trip(self, kind):
@@ -264,10 +266,9 @@ class TestDiagBlockInverse:
         tree = inst.tree
         mom = compute_moments(tree, inst.book)
         coeffs = elimination_coefficients(mom, shift=-0.3)
-        for n in range(tree.last_issue + 1):
-            for k in range(n + 1):
-                x = tree.adapted(k, rng.standard_normal((tree.n_nodes(k), tree.n_contracts)))
-                back = diag_block_inverse(
-                    kind, coeffs, tree, n, k, self.forward(kind, coeffs, tree, n, k, x)
-                )
-                np.testing.assert_allclose(back.values, x.values, atol=1e-10)
+        for level in coeffs.levels:
+            x = tree.adapted(
+                level.n, rng.standard_normal((tree.n_nodes(level.n), tree.n_contracts))
+            )
+            back = diag_block_inverse(kind, level, tree, self.forward(kind, level, tree, x))
+            np.testing.assert_allclose(back.values, x.values, atol=1e-10)

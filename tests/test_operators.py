@@ -153,6 +153,28 @@ class TestOperatorAlgebra:
                     want = pair_block(kind, tree, book, k, l, plan.stage(l))
                     assert np.array_equal(image, want)
 
+    @pytest.mark.parametrize("kind", [Kind.SECOND_MOMENT, Kind.VARIANCE])
+    def test_apply_and_inner_product_equal_a_per_stage_reference_bitwise(self, kind):
+        """``apply`` concatenates its stage images into one ``flat`` and
+        ``inner_product`` reads slices of ``flat``; both keep the bits of
+        the stage-by-stage computation."""
+        rng = np.random.default_rng(67)
+        for _ in range(5):
+            inst = random_instance(rng)
+            tree, book = inst.tree, inst.book
+            plan, other = random_plan(tree, rng), random_plan(tree, rng)
+            utility = portfolio.final_utility_rv(tree, book, plan).values
+            weight = operators._centered(kind, tree, utility)[:, None]
+            image = apply(kind, tree, book, plan)
+            product = 0.0
+            for k in range(tree.last_issue + 1):
+                settled = tree.adapted(tree.horizon, weight * book.settled[:, k])
+                want = tree.conditional_expectation(settled, k).values
+                assert np.array_equal(image.stage(k).values, want)
+                rows = tree_module.row_dot(image.stage(k).values, other.stage(k).values)
+                product += float(np.sum(tree.path_prob[k] * rows))
+            assert inner_product(tree, image, other) == product
+
     @pytest.mark.parametrize(
         "stages", [range(0, 3), range(-1, 1), range(1, 1), range(0, 2, 2)]
     )

@@ -33,14 +33,13 @@ from .multipliers import (
     IterationResult,
     KktReport,
     MultiplierSet,
-    assemble_solution,
     deterministic_solution,
     iterate,
     kkt_verify,
     l_gram,
 )
 from .operators import Kind, apply, dense_matrix, representers
-from .oracle import OracleSolution, assemble, dense_qp, dense_spectrum
+from .oracle import OracleSolution, assemble, dense_qp
 from .portfolio import ConstraintConfig, ConstraintReport, Form, evaluate_constraints
 from .scenario import Scenario, load, parse, validate_data
 from .tree import (
@@ -83,12 +82,10 @@ __all__ = [
     "SpectralSets",
     "apply",
     "assemble",
-    "assemble_solution",
     "check_hypotheses",
     "compute_moments",
     "dense_matrix",
     "dense_qp",
-    "dense_spectrum",
     "deterministic_solution",
     "elimination_coefficients",
     "evaluate_constraints",

@@ -13,7 +13,7 @@ images a stage needs form one leaf block, each read off at its own depth.
 
 One top-down recursion serves the solves and the spectra, and it records
 each level once, as a :class:`Level`: the raw pivots left after the levels
-above, the centered form's level pivot, both condition numbers and the
+above, the centered form's level pivot, their condition numbers and the
 recursion's scalars.  The coefficients of a solve are these levels.  The
 level pivots also parameterize the candidate spectra: a number belongs to
 the operator's spectrum exactly when one of the level pivots, with the
@@ -45,10 +45,12 @@ class Level(NamedTuple):
     k <= n, and ``centered`` the centered form's level pivot: ``pivots[n]``
     less the mean direction's remaining weight, ``(1 - mean_weight) m m^T``
     with m the stage-n mean.  ``cond`` and ``centered_cond`` are their
-    condition numbers.  ``mean_quad`` is the pivot-inverse quadratic form
-    of m (NaN when the raw pivot is singular), ``block_scale`` the common
-    factor carried by the level's off-diagonal blocks, and ``mean_weight``
-    the mean-direction weight removed by the levels above.
+    condition numbers; the spectra read only ``cond``, so only the levels
+    of :func:`elimination_coefficients` carry ``centered_cond`` (NaN
+    elsewhere).  ``mean_quad`` is the pivot-inverse quadratic form of m
+    (NaN when the raw pivot is singular), ``block_scale`` the common factor
+    carried by the level's off-diagonal blocks, and ``mean_weight`` the
+    mean-direction weight removed by the levels above.
     """
 
     n: int
@@ -78,6 +80,8 @@ def _recursion(moments: MomentTables, shift: float) -> Iterator[Level]:
     The scalars are driven by the raw-form pivots alone.  A level whose
     pivot is numerically singular is the last one yielded: the shift sits
     (numerically) in its spectrum, and deeper levels are not defined there.
+    Only that raw condition number is computed here; ``centered_cond`` is
+    NaN until :func:`elimination_coefficients` fills it in.
     """
     eye = np.eye(moments.second_moment[0].shape[0])
     pivots = [a - shift * eye for a in moments.second_moment]
@@ -86,12 +90,11 @@ def _recursion(moments: MomentTables, shift: float) -> Iterator[Level]:
         cond = float(np.linalg.cond(pivots[n]))
         m = moments.mean[n]
         centered = pivots[n] - (1.0 - weight) * np.outer(m, m)
-        centered_cond = float(np.linalg.cond(centered))
         if _singular(cond):
-            yield Level(n, pivots, centered, cond, centered_cond, np.nan, scale, weight)
+            yield Level(n, pivots, centered, cond, np.nan, np.nan, scale, weight)
             return
         quad = float(m @ np.linalg.solve(pivots[n], m))
-        yield Level(n, pivots, centered, cond, centered_cond, quad, scale, weight)
+        yield Level(n, pivots, centered, cond, np.nan, quad, scale, weight)
         w = quad * scale * scale
         scale, weight = scale * (1.0 - quad * scale), weight + w
         pivots = [pivots[k] - w * moments.cond_second_moment[n][k] for k in range(n)]
@@ -103,14 +106,15 @@ def elimination_coefficients(
     """The recursion's levels at the given shift, in level order.
 
     Both forms share them: the centered form reuses the raw-form scalars
-    with its own level pivots.  A numerically singular raw pivot raises
+    with its own level pivots, whose condition numbers are computed here,
+    once per level.  A numerically singular raw pivot raises
     :class:`SingularPivot` at its level.
     """
     levels = []
     for level in _recursion(moments, shift):
         if _singular(level.cond):
             raise SingularPivot(level.n, level.cond)
-        levels.append(level)
+        levels.append(level._replace(centered_cond=float(np.linalg.cond(level.centered))))
     return EliminationCoefficients(shift, tuple(levels[::-1]))
 
 

@@ -7,10 +7,12 @@ multiplier per plan coordinate.  The route implemented here eliminates the
 plan: solving the governing form against every representer produces a
 small Gram system whose sign-constrained solution yields the period and
 mean weights, while the nonnegativity multipliers come from a nodewise
-sign-constrained projection.  The Gram build keeps the solved
-representers, so each projection cycle makes one structured solve.  Every
-solve is kept whatever its residual, since each cycle's verified
-optimality report decides convergence; a singular pivot raises.
+sign-constrained projection of every stage.  The Gram build keeps the
+solved representers, so each projection cycle makes one structured solve,
+and the projection takes the couplings between all stages from one sweep
+of the tree.  Every solve is kept whatever its residual, since each
+cycle's verified optimality report decides convergence; a singular pivot
+raises, and so does an answer whose mean or variance overflows.
 
 The ladder has three rungs: a deterministic approximation that replaces
 every representer by its expectation, a first approximation that reuses
@@ -32,6 +34,7 @@ of the oracle's shared floor search.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,66 +205,46 @@ def deterministic_solution(
     )
 
 
-def theta(
+def _project(
     tree: ScenarioTree,
     book: ContractBook,
     moments: MomentTables,
-    reps: Representers,
-    k: int,
-    sign: int,
-    roe_weights: np.ndarray,
-    mean_weight: float,
-    plan: PortfolioProcess,
-    kind: Kind = Kind.VARIANCE,
-) -> AdaptedVariable:
-    """Nodewise sign-constrained projection at stage k.
-
-    The argument collects the weighted representers and the off-diagonal
-    couplings of the current plan; for the centered form it also carries
-    the rank-one mean correction that turns the centered diagonal back into
-    the raw one.  The raw second-moment matrix then splits it into a
-    nonnegative position part (sign +1) and a complementary multiplier
-    part (sign -1).
-    """
-    if sign not in (+1, -1):
-        raise InputError(f"sign must be +1 or -1, got {sign}")
-    scalars = [
-        leaf_scalar(kind, tree, book, l, plan.stage(l)) if l != k else None
-        for l in range(tree.last_issue + 1)
-    ]
-    weighted = reps.combine(roe_weights, mean_weight)
-    positions, bounds = _project_stage(tree, book, moments, k, weighted, plan, kind, scalars)
-    return positions if sign > 0 else bounds
-
-
-def _project_stage(
-    tree: ScenarioTree,
-    book: ContractBook,
-    moments: MomentTables,
-    k: int,
+    kind: Kind,
     weighted: PortfolioProcess,
     plan: PortfolioProcess,
-    kind: Kind,
-    scalars: list[np.ndarray | None],
-) -> tuple[AdaptedVariable, AdaptedVariable]:
-    """Both parts of the stage-k projection, from one argument and one
-    nodewise solve stacked over the stage's nodes; ``weighted`` is the
-    weighted representer sum, and ``scalars[l]`` the leaf scalar of the
-    plan's stage l (unused at l = k), whose images couple stage l into
-    stage k."""
-    arg = weighted.stage(k).values
-    ma = moments.second_moment[k]
-    if kind is Kind.VARIANCE:
-        rank_one = ma - moments.covariance[k]
-        stage_mean = tree.path_prob[k] @ plan.stage(k).values
-        arg = arg + (rank_one @ stage_mean)[None, :]
-    couplings = [s for l, s in enumerate(scalars) if l != k]
-    if couplings:
-        (stacked,) = images(tree, book, range(k, k + 1), np.column_stack(couplings))
-        for image in stacked:
-            arg = arg - image
-    result = nonneg_qp(ma, arg)
-    return AdaptedVariable(k, result.primal), AdaptedVariable(k, result.dual)
+) -> tuple[PortfolioProcess, PortfolioProcess]:
+    """The nodewise sign-constrained projection of every stage: a
+    nonnegative position part and a complementary multiplier part.
+
+    Stage k's argument is the weighted representer sum ``weighted`` less
+    the images that couple every other stage l of ``plan`` into stage k, in
+    ascending l; for the centered form it also carries the rank-one mean
+    correction that turns the centered diagonal back into the raw one.  All
+    couplings come from one leaf block of the plan's stage scalars, swept
+    up the tree once (none on a one-stage tree).  The raw second-moment
+    matrix then splits each argument by one nodewise solve stacked over the
+    stage's nodes.
+    """
+    stages = range(tree.last_issue + 1)
+    coupled = [()] * len(stages)
+    if len(stages) > 1:
+        scalars = [leaf_scalar(kind, tree, book, l, plan.stage(l)) for l in stages]
+        coupled = images(tree, book, stages, np.column_stack(scalars))
+    positions, bounds = [], []
+    for k in stages:
+        arg = weighted.stage(k).values
+        ma = moments.second_moment[k]
+        if kind is Kind.VARIANCE:
+            rank_one = ma - moments.covariance[k]
+            stage_mean = tree.path_prob[k] @ plan.stage(k).values
+            arg = arg + (rank_one @ stage_mean)[None, :]
+        for l, image in enumerate(coupled[k]):
+            if l != k:
+                arg = arg - image
+        result = nonneg_qp(ma, arg)
+        positions.append(AdaptedVariable(k, result.primal))
+        bounds.append(AdaptedVariable(k, result.dual))
+    return PortfolioProcess(tree, positions), PortfolioProcess(tree, bounds)
 
 
 def _projection_cycle(
@@ -274,8 +257,9 @@ def _projection_cycle(
     form: Form,
 ):
     """One full update: multipliers from the Gram step, relaxed plan from one
-    solve (of ``nu``, added to the solved representers), then the split;
-    a residual miss of the solve is counted on ``gram``."""
+    solve (of ``nu``, added to the solved representers), then the split of
+    every stage from one sweep of the tree (:func:`_project`); a residual
+    miss of the solve is counted on ``gram``."""
     kind = gram.kind
     levels = config.levels(tree)
     nu_solve = elimination.solve(kind, tree, book, moments, 0.0, nu, coeffs=gram.coeffs)
@@ -286,13 +270,7 @@ def _projection_cycle(
     roe_w, mean_w = weights[:-1], float(weights[-1])
     relaxed = gram.solved.combine(roe_w, mean_w) + solved_nu
     weighted = gram.reps.combine(roe_w, mean_w)
-    scalars = [
-        leaf_scalar(kind, tree, book, l, relaxed.stage(l))
-        for l in range(tree.last_issue + 1)
-    ]
-    parts = [_project_stage(tree, book, moments, k, weighted, relaxed, kind, scalars)
-             for k in range(tree.last_issue + 1)]
-    plan, nu_new = (PortfolioProcess(tree, stages) for stages in zip(*parts))
+    plan, nu_new = _project(tree, book, moments, kind, weighted, relaxed)
     return MultiplierSet(roe_w, mean_w, nu_new), plan, relaxed
 
 
@@ -384,26 +362,6 @@ def kkt_verify(
     return KktReport(stationarity, infeas, compl, sign, tol)
 
 
-def assemble_solution(
-    tree: ScenarioTree,
-    book: ContractBook,
-    config: ConstraintConfig,
-    mults: MultiplierSet,
-    kind: Kind = Kind.VARIANCE,
-    moments: MomentTables | None = None,
-    reps: Representers | None = None,
-) -> PortfolioProcess:
-    """Reconstruct the plan a multiplier set stands for: one structured
-    solve of the chosen form against the combined representers, whatever
-    its residual."""
-    if moments is None:
-        moments = compute_moments(tree, book)
-    if reps is None:
-        reps = representers(tree, book, config)
-    rhs = reps.combine(mults.roe, mults.mean) + mults.bounds
-    return elimination.solve(kind, tree, book, moments, 0.0, rhs).plan
-
-
 @dataclass
 class IterationResult:
     """Outcome of the fixed-point iteration with its honest history."""
@@ -440,9 +398,10 @@ def iterate(
     finite, raises the non-monotone flag (numpy's floating-point warnings
     stay silent) but does not stop the loop.  The result is the cycle with
     the lowest finite KKT total, the first of equals, and claims no
-    convergence beyond its report.  A plan above a variance cap raises
-    :class:`Infeasible` if the ladder converged, else
-    :class:`NumericalFailure`.  The max-mean form is solved by
+    convergence beyond its report.  A plan whose mean or variance overflows
+    raises :class:`NumericalFailure`; so does a plan above a variance cap
+    if the ladder did not converge, and if it did, it raises
+    :class:`Infeasible`.  The max-mean form is solved by
     :func:`iterate_max_mean`, which runs this uncapped at each floor.
     """
     if form is Form.MAX_MEAN:
@@ -488,10 +447,13 @@ def _ladder(tree, book, config, moments, gram, max_iter, tol, form) -> Iteration
         fallbacks=gram.unverified,
         deterministic=det,
     )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = mean_final(tree, book, res.plan), variance_final(tree, book, res.plan)
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise NumericalFailure(f"structured answer overflows: mean {mean:.3e}, variance {var:.3e}")
     cap = config.variance_cap
     if cap is not None:
-        oracle.cap_verdict(res, variance_final(tree, book, res.plan), cap,
-                           check=_require_converged(config.mean_floor, cap))
+        oracle.cap_verdict(res, var, cap, check=_require_converged(config.mean_floor, cap))
     return res
 
 

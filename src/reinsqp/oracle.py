@@ -94,11 +94,6 @@ def assemble(
     return DenseProblem(kind, gram, rows, levels, tree, book, config)
 
 
-def dense_spectrum(problem: DenseProblem) -> np.ndarray:
-    """All eigenvalues of the form's Gram matrix, ascending."""
-    return np.linalg.eigvalsh(problem.gram)
-
-
 def dense_solve_linear(
     problem: DenseProblem, rhs: PortfolioProcess, shift: float = 0.0
 ) -> tuple[PortfolioProcess, float]:

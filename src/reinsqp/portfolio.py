@@ -19,10 +19,6 @@ from .contracts import ContractBook
 from .errors import InputError
 from .tree import AdaptedVariable, PortfolioProcess, ScenarioTree, row_dot
 
-#: absolute feasibility tolerance for constraint slacks
-FEAS_TOL = 1e-8
-
-
 class Kind(str, Enum):
     """Which quadratic form an operator routine should realize."""
 
@@ -129,13 +125,6 @@ def mean_final(tree: ScenarioTree, book: ContractBook, plan: PortfolioProcess) -
     return float(tree.expectation(final_utility_rv(tree, book, plan)))
 
 
-def second_moment_final(
-    tree: ScenarioTree, book: ContractBook, plan: PortfolioProcess
-) -> float:
-    u = final_utility_rv(tree, book, plan)
-    return float(tree.expectation(AdaptedVariable(u.depth, u.values**2)))
-
-
 def variance_final(tree: ScenarioTree, book: ContractBook, plan: PortfolioProcess) -> float:
     return _variance(tree, final_utility_rv(tree, book, plan))
 
@@ -155,22 +144,6 @@ class ConstraintReport:
     min_position: float
     mean_value: float
     variance_value: float
-
-    def feasible(self, tol: float = FEAS_TOL, form: Form = Form.MIN_VARIANCE) -> bool:
-        """Whether every slack clears ``tol``; the fixed-mean form also
-        needs the mean on its level."""
-        mean_ok = (
-            abs(self.mean_slack) <= tol
-            if form is Form.FIXED_MEAN
-            else self.mean_slack >= -tol
-        )
-        var_ok = self.variance_slack is None or self.variance_slack >= -tol
-        return (
-            bool(np.all(self.roe_slacks >= -tol))
-            and mean_ok
-            and var_ok
-            and self.min_position >= -tol
-        )
 
     def as_dict(self) -> dict:
         return {

@@ -5,7 +5,10 @@ are the time-t information states, each node carries the conditional
 probability of reaching it from its parent, and the leaves at the final depth
 are the elementary scenarios.  Everything the optimizer touches (utilities,
 portfolios, operator images, representers) is an adapted quantity: one value,
-scalar or vector, per node of some depth.
+scalar or vector, per node of some depth.  Nodes are addressed by their row
+in the canonical order (depth-major, then ascending id): ``node_ids[d]``
+holds the sorted ids of depth d, and the tree keeps no per-node lookup
+table.
 
 The class below caches, on first use, one sparse averaging matrix per level
 (rows are parents, columns their children, entries the conditional
@@ -186,8 +189,6 @@ class ScenarioTree:
                 self.parent_row.append(rows)
                 self.path_prob.append(self.path_prob[d - 1][rows] * self.cond_prob[d])
             row_of.update({n.id: i for i, n in enumerate(level)})
-        self._row_of = row_of
-        self._depth_of = {n.id: n.depth for n in nodes}
         self._ancestors: dict[tuple[int, int], np.ndarray] = {}
 
     @classmethod
@@ -208,22 +209,6 @@ class ScenarioTree:
     def n_nodes(self, depth: int) -> int:
         return len(self.node_ids[depth])
 
-    def node_row(self, depth: int, node_id: int) -> int:
-        """Position of ``node_id`` in the canonical depth ordering."""
-        row = self._row_of.get(node_id)
-        if row is None or self._depth_of[node_id] != depth:
-            raise InputError(f"node {node_id} is not at depth {depth}")
-        return row
-
-    def node_depth(self, node_id: int) -> int:
-        depth = self._depth_of.get(node_id)
-        if depth is None:
-            raise InputError(f"unknown node id {node_id}")
-        return depth
-
-    def path_probability(self, depth: int, node_id: int) -> float:
-        return float(self.path_prob[depth][self.node_row(depth, node_id)])
-
     @cached_property
     def plan_offsets(self) -> tuple[int, ...]:
         """Where each issue stage starts in a flat plan (stage-major, node,
@@ -240,21 +225,6 @@ class ScenarioTree:
                 f"{values.shape[0]} values for {self.n_nodes(depth)} nodes at depth {depth}"
             )
         return AdaptedVariable(depth, values)
-
-    def adapted_from_dict(
-        self, depth: int, mapping: dict[int, float], n_components: int | None = None
-    ) -> AdaptedVariable:
-        """Build an adapted variable from a node-id keyed dict (exact domain)."""
-        if set(mapping) != set(int(i) for i in self.node_ids[depth]):
-            raise DimensionMismatch(f"mapping domain is not the depth-{depth} node set")
-        shape = (self.n_nodes(depth),) if n_components is None else (
-            self.n_nodes(depth),
-            n_components,
-        )
-        out = np.zeros(shape)
-        for node_id, value in mapping.items():
-            out[self.node_row(depth, int(node_id))] = value
-        return AdaptedVariable(depth, out)
 
     def zeros(self, depth: int, n_components: int | None = None) -> AdaptedVariable:
         shape = (self.n_nodes(depth),) if n_components is None else (

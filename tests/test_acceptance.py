@@ -21,17 +21,15 @@ from reinsqp.elimination import (
 from reinsqp.multipliers import (
     KKT_TOL,
     MultiplierSet,
-    assemble_solution,
     iterate,
     kkt_verify,
 )
-from reinsqp.operators import Kind, apply, dense_matrix
+from reinsqp.operators import Kind, apply, dense_matrix, representers
 from reinsqp.oracle import (
     Form,
     assemble,
     dense_qp,
     dense_solve_linear,
-    dense_spectrum,
     from_coords,
     to_coords,
 )
@@ -106,7 +104,7 @@ def test_dense_eigenvalues_lie_in_the_stagewise_sets():
         all_valid &= check_hypotheses(inst.tree, inst.book).all_ok
         moments = compute_moments(inst.tree, inst.book)
         for kind in (Kind.SECOND_MOMENT, Kind.VARIANCE):
-            eigs = dense_spectrum(assemble(inst.tree, inst.book, inst.config, kind))
+            eigs = np.linalg.eigvalsh(dense_matrix(kind, inst.tree, inst.book))
             worst = max(
                 worst,
                 max(spectrum_distance(moments, float(ev), kind) for ev in eigs),
@@ -217,9 +215,10 @@ def test_oracle_optima_certify_and_reassemble(form, seed):
             inst.tree, inst.book, inst.config, sol.plan, mults, form=form
         )
         worst_residual = max(worst_residual, report.total)
-        rebuilt = assemble_solution(
-            inst.tree, inst.book, inst.config, mults, kind=form.kind
-        )
+        reps = representers(inst.tree, inst.book, inst.config)
+        rhs = reps.combine(mults.roe, mults.mean) + mults.bounds
+        moments = compute_moments(inst.tree, inst.book)
+        rebuilt = solve(form.kind, inst.tree, inst.book, moments, 0.0, rhs).plan
         worst_rebuild = max(
             worst_rebuild,
             norm(inst.tree, rebuilt - sol.plan) / max(norm(inst.tree, sol.plan), 1e-12),

@@ -509,6 +509,24 @@ class TestProcessLevel:
         assert "Traceback" not in res.stderr and "Warning" not in res.stderr
         assert "Infinity" not in res.stdout
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--e", "1e300"),
+            ("--form", "fixed-mean", "--e", "1e300"),
+            ("--e", "1e200"),
+        ],
+        ids=["min-variance-1e300", "fixed-mean-1e300", "min-variance-1e200"],
+    )
+    def test_overflowing_structured_answer_is_a_numerical_failure(self, coin_file, argv):
+        res = self.run("solve", "--input", coin_file, "--max-iter", "300", *argv)
+        assert res.returncode == 3
+        assert res.stderr.startswith("numerical failure: structured answer overflows: mean ")
+        assert res.stderr.endswith(", variance inf\n")
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+        assert res.stdout == ""
+
     def test_version(self):
         res = self.run("--version")
         assert res.returncode == 0

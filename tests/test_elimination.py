@@ -101,6 +101,27 @@ class TestSpectralSets:
                 elimination_coefficients(mom, shift)
             assert exc.value.level == kmax
 
+    def test_spectra_compute_one_condition_number_per_level(self, monkeypatch):
+        # the raw pivot's, which stops the recursion; the spectra never
+        # read the centered pivot's
+        rng = np.random.default_rng(101)
+        draws = [random_instance(rng) for _ in range(8)]
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(1) or cond(m))
+        for inst in draws:
+            mom = compute_moments(inst.tree, inst.book)
+            top = float(np.linalg.eigvalsh(mom.second_moment[mom.last_issue])[0])
+            for shift in (0.0, -0.5, top):
+                calls.clear()
+                n_levels = len(spectral_sets(mom, shift).levels_raw)
+                assert len(calls) == n_levels
+                for kind in (Kind.SECOND_MOMENT, Kind.VARIANCE):
+                    calls.clear()
+                    spectrum_distance(mom, shift, kind)
+                    assert len(calls) == n_levels
+            assert n_levels == 1
+
     def test_dense_eigenvalues_land_in_the_sets(self, coin2):
         # membership is judged with the recursion scalars re-evaluated at
         # each candidate, which is what spectrum_distance does

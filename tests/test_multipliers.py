@@ -16,17 +16,16 @@ from reinsqp.multipliers import (
     GRAM_COND_MAX,
     KktReport,
     MultiplierSet,
-    assemble_solution,
     deterministic_solution,
     iterate,
     iterate_max_mean,
     kkt_verify,
     l_gram,
-    theta,
 )
-from reinsqp.operators import Kind, apply, representers
+from reinsqp.operators import Kind, apply, images, leaf_scalar, representers
 from reinsqp.oracle import Form, assemble, dense_qp, dense_solve_linear
 from reinsqp.portfolio import mean_final, variance_final
+from reinsqp.qp import nonneg_qp
 from reinsqp.tree import PortfolioProcess, norm
 
 from conftest import random_instance
@@ -51,6 +50,46 @@ def diverging_draw():
 
 def oracle_multiplier_set(sol) -> MultiplierSet:
     return MultiplierSet(sol.roe_multipliers, sol.mean_multiplier, sol.bound_multipliers)
+
+
+def plan_of(inst, mults: MultiplierSet) -> PortfolioProcess:
+    """The plan a multiplier set stands for: one structured solve of the
+    variance form against the combined representers, whatever its residual."""
+    reps = representers(inst.tree, inst.book, inst.config)
+    rhs = reps.combine(mults.roe, mults.mean) + mults.bounds
+    moments = compute_moments(inst.tree, inst.book)
+    return elimination.solve(Kind.VARIANCE, inst.tree, inst.book, moments, 0.0, rhs).plan
+
+
+def project_at_optimum(inst, sol):
+    """Both parts of the projection of the oracle's plan and weights."""
+    moments = compute_moments(inst.tree, inst.book)
+    reps = representers(inst.tree, inst.book, inst.config)
+    weighted = reps.combine(sol.roe_multipliers, sol.mean_multiplier)
+    return multipliers._project(inst.tree, inst.book, moments, Kind.VARIANCE, weighted, sol.plan)
+
+
+def project_stage_by_stage(tree, book, moments, kind, weighted, plan):
+    """Reference for the projection: each stage sweeps the tree for its own
+    couplings, subtracts them in ascending stage order, and splits."""
+    stages = range(tree.last_issue + 1)
+    scalars = [leaf_scalar(kind, tree, book, l, plan.stage(l)) for l in stages]
+    positions, bounds = [], []
+    for k in stages:
+        arg = weighted.stage(k).values
+        ma = moments.second_moment[k]
+        if kind is Kind.VARIANCE:
+            stage_mean = tree.path_prob[k] @ plan.stage(k).values
+            arg = arg + ((ma - moments.covariance[k]) @ stage_mean)[None, :]
+        others = [s for l, s in enumerate(scalars) if l != k]
+        if others:
+            (stacked,) = images(tree, book, range(k, k + 1), np.column_stack(others))
+            for image in stacked:
+                arg = arg - image
+        result = nonneg_qp(ma, arg)
+        positions.append(result.primal)
+        bounds.append(result.dual)
+    return positions, bounds
 
 
 class TestDeterministic:
@@ -134,50 +173,25 @@ class TestRepresenterGram:
 
 
 class TestTheta:
-    def test_rejects_other_signs(self, coin2):
-        moments = compute_moments(coin2.tree, coin2.book)
-        reps = representers(coin2.tree, coin2.book, coin2.config)
-        plan = PortfolioProcess.zeros(coin2.tree)
-        with pytest.raises(InputError):
-            theta(
-                coin2.tree, coin2.book, moments, reps, 0, 0, np.zeros(2), 0.0, plan
-            )
+    """The nodewise projection of every stage (``multipliers._project``)
+    at the oracle optimum."""
 
     def test_fixed_point_at_optimum(self, coin2, coin_oracle):
         # the optimal plan and bound multipliers reproduce themselves
-        moments = compute_moments(coin2.tree, coin2.book)
-        reps = representers(coin2.tree, coin2.book, coin2.config)
+        positions, bounds = project_at_optimum(coin2, coin_oracle)
         for k in range(coin2.tree.last_issue + 1):
-            up = theta(
-                coin2.tree, coin2.book, moments, reps, k, +1,
-                coin_oracle.roe_multipliers, coin_oracle.mean_multiplier,
-                coin_oracle.plan,
-            )
-            dn = theta(
-                coin2.tree, coin2.book, moments, reps, k, -1,
-                coin_oracle.roe_multipliers, coin_oracle.mean_multiplier,
-                coin_oracle.plan,
+            np.testing.assert_allclose(
+                positions.stage(k).values, coin_oracle.plan.stage(k).values, atol=1e-6
             )
             np.testing.assert_allclose(
-                up.values, coin_oracle.plan.stage(k).values, atol=1e-6
-            )
-            np.testing.assert_allclose(
-                dn.values, coin_oracle.bound_multipliers.stage(k).values, atol=1e-6
+                bounds.stage(k).values, coin_oracle.bound_multipliers.stage(k).values, atol=1e-6
             )
 
     def test_split_is_complementary(self, coin2, coin_oracle):
-        moments = compute_moments(coin2.tree, coin2.book)
-        reps = representers(coin2.tree, coin2.book, coin2.config)
+        positions, bounds = project_at_optimum(coin2, coin_oracle)
         for k in range(coin2.tree.last_issue + 1):
-            parts = [
-                theta(
-                    coin2.tree, coin2.book, moments, reps, k, sign,
-                    coin_oracle.roe_multipliers, coin_oracle.mean_multiplier,
-                    coin_oracle.plan,
-                )
-                for sign in (+1, -1)
-            ]
-            assert float(np.minimum(parts[0].values, parts[1].values).max()) == 0.0
+            parts = positions.stage(k).values, bounds.stage(k).values
+            assert float(np.minimum(*parts).max()) == 0.0
 
 
 class TestFirstApproximation:
@@ -205,27 +219,54 @@ class TestFirstApproximation:
             fa.multipliers.bounds.stage(0).values, [[0.0]], atol=1e-8
         )
 
-    def test_cycle_matches_theta_with_one_solve_per_node(self, coin2, monkeypatch):
-        moments = compute_moments(coin2.tree, coin2.book)
-        reps = representers(coin2.tree, coin2.book, coin2.config)
-        calls = []
-        solve = multipliers.nonneg_qp
+    def test_cycle_sweeps_the_tree_once_and_solves_once_per_node(self, coin2, monkeypatch):
+        rng = np.random.default_rng(101)
+        _, single, three = [random_instance(rng) for _ in range(3)]
+        assert (single.tree.last_issue, three.tree.last_issue) == (0, 2)
+        sweeps, rows = [], []
+        sweep, solve = multipliers.images, multipliers.nonneg_qp
+        monkeypatch.setattr(multipliers, "images", lambda *a: sweeps.append(a[2]) or sweep(*a))
         monkeypatch.setattr(
             multipliers, "nonneg_qp",
-            lambda *a: calls.append(np.atleast_2d(a[1]).shape[0]) or solve(*a),
+            lambda *a: rows.append(np.atleast_2d(a[1]).shape[0]) or solve(*a),
         )
-        fa = iterate(coin2.tree, coin2.book, coin2.config, max_iter=0, moments=moments)
-        # one Gram step, then one stacked solve per stage with one row per
-        # node, serving both parts
-        tree = coin2.tree
-        assert calls == [1] + [tree.n_nodes(k) for k in range(tree.last_issue + 1)]
-        for k in range(tree.last_issue + 1):
-            for sign, part in ((+1, fa.plan), (-1, fa.multipliers.bounds)):
-                alone = theta(
-                    tree, coin2.book, moments, reps, k, sign,
-                    fa.multipliers.roe, fa.multipliers.mean, fa.relaxed_plan,
-                )
-                assert np.array_equal(alone.values, part.stage(k).values)
+        for inst, max_iter in ((coin2, 0), (coin2, 3), (three, 2), (single, 2)):
+            sweeps.clear()
+            rows.clear()
+            res = iterate(inst.tree, inst.book, inst.config, max_iter=max_iter)
+            tree, cycles = inst.tree, res.iterations + 1
+            stages = range(tree.last_issue + 1)
+            # per cycle, one sweep over all stages (none when one stage
+            # couples nothing), one Gram step, then one stacked solve per
+            # stage with one row per node, serving both parts
+            assert sweeps == ([stages] * cycles if tree.last_issue else [])
+            assert rows == ([1] + [tree.n_nodes(k) for k in stages]) * cycles
+
+    def test_one_sweep_matches_a_sweep_per_stage(self, coin2):
+        # products are elementwise and the tree conditions each column on
+        # its own, so every stage's split keeps its bits
+        rng = np.random.default_rng(101)
+        cases = [coin2] + [random_instance(rng) for _ in range(10)]
+        assert max(inst.tree.last_issue for inst in cases) == 3
+        for inst in cases:
+            tree, book = inst.tree, inst.book
+            moments = compute_moments(tree, book)
+            for form in (Form.MIN_VARIANCE, Form.FIXED_MEAN):
+                gram = l_gram(tree, book, inst.config, moments, kind=form.kind)
+                det = deterministic_solution(tree, book, inst.config, moments, gram.reps, form)
+                nu = det.multipliers.bounds
+                for _ in range(3):
+                    mults, plan, relaxed = multipliers._projection_cycle(
+                        tree, book, inst.config, moments, gram, nu, form
+                    )
+                    weighted = gram.reps.combine(mults.roe, mults.mean)
+                    positions, bounds = project_stage_by_stage(
+                        tree, book, moments, form.kind, weighted, relaxed
+                    )
+                    for k in range(tree.last_issue + 1):
+                        assert np.array_equal(plan.stage(k).values, positions[k])
+                        assert np.array_equal(mults.bounds.stage(k).values, bounds[k])
+                    nu = mults.bounds
 
     def test_coin_mean_equality_shift(self, coin2):
         # the raw-form equality weight carries the floor on top of the
@@ -420,14 +461,16 @@ class TestIterate:
 
 
 class TestAssembleSolution:
+    """The plan a multiplier set stands for (``plan_of``)."""
+
     def test_zero_multipliers_give_zero_plan(self, coin2):
         mults = MultiplierSet(np.zeros(2), 0.0, PortfolioProcess.zeros(coin2.tree))
-        plan = assemble_solution(coin2.tree, coin2.book, coin2.config, mults)
+        plan = plan_of(coin2, mults)
         assert plan.max_abs() == 0.0
 
     def test_unit_mean_weight_solves_the_mean_row(self, coin2):
         mults = MultiplierSet(np.zeros(2), 1.0, PortfolioProcess.zeros(coin2.tree))
-        plan = assemble_solution(coin2.tree, coin2.book, coin2.config, mults)
+        plan = plan_of(coin2, mults)
         problem = assemble(coin2.tree, coin2.book, coin2.config, Kind.VARIANCE)
         reps = representers(coin2.tree, coin2.book, coin2.config)
         expected, _ = dense_solve_linear(problem, reps.mean)
@@ -437,9 +480,7 @@ class TestAssembleSolution:
             )
 
     def test_oracle_multipliers_reproduce_oracle_plan(self, coin2, coin_oracle):
-        plan = assemble_solution(
-            coin2.tree, coin2.book, coin2.config, oracle_multiplier_set(coin_oracle)
-        )
+        plan = plan_of(coin2, oracle_multiplier_set(coin_oracle))
         for k in range(2):
             np.testing.assert_allclose(
                 plan.stage(k).values, coin_oracle.plan.stage(k).values, atol=1e-10
@@ -560,7 +601,5 @@ class TestStructuredSolvesOnly:
         assert res.fallbacks == 231
         config = dataclasses.replace(coin2.config, variance_cap=18 / 17)
         assert iterate_max_mean(coin2.tree, coin2.book, config, max_iter=300).result.converged
-        plan = assemble_solution(
-            coin2.tree, coin2.book, coin2.config, oracle_multiplier_set(coin_oracle)
-        )
+        plan = plan_of(coin2, oracle_multiplier_set(coin_oracle))
         assert np.isfinite(plan.max_abs())

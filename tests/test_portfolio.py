@@ -5,11 +5,9 @@ import pytest
 
 from reinsqp.portfolio import (
     ConstraintConfig,
-    Form,
     evaluate_constraints,
     final_utility_rv,
     mean_final,
-    second_moment_final,
     utility_growth,
     utility_process,
     variance_final,
@@ -37,7 +35,6 @@ class TestUtilityProcess:
     def test_moments_of_final_utility(self, coin2):
         plan = unit_plan(coin2.tree)
         assert mean_final(coin2.tree, coin2.book, plan) == pytest.approx(3.0)
-        assert second_moment_final(coin2.tree, coin2.book, plan) == pytest.approx(11.0)
         assert variance_final(coin2.tree, coin2.book, plan) == pytest.approx(2.0)
 
     def test_process_is_zero_before_results_accrue(self, coin2):
@@ -85,19 +82,16 @@ class TestConstraints:
         assert report.mean_slack == pytest.approx(0.0)
         assert report.variance_slack is None
         assert report.min_position == pytest.approx(1.0)
-        assert report.feasible()
 
     def test_mean_floor_violation_flagged(self, coin2):
         plan = 0.5 * unit_plan(coin2.tree)
         report = evaluate_constraints(coin2.tree, coin2.book, coin2.config, plan)
         assert report.mean_slack == pytest.approx(-1.5)
-        assert not report.feasible()
 
     def test_negative_position_flagged(self, coin2):
         plan = -1.0 * unit_plan(coin2.tree)
         report = evaluate_constraints(coin2.tree, coin2.book, coin2.config, plan)
         assert report.min_position == pytest.approx(-1.0)
-        assert not report.feasible()
 
     def test_variance_cap_slack(self, coin2):
         import dataclasses
@@ -105,15 +99,6 @@ class TestConstraints:
         capped = dataclasses.replace(coin2.config, variance_cap=1.0)
         report = evaluate_constraints(coin2.tree, coin2.book, capped, unit_plan(coin2.tree))
         assert report.variance_slack == pytest.approx(-1.0)
-        assert not report.feasible()
-
-    def test_mean_equality_mode(self, coin2):
-        report = evaluate_constraints(coin2.tree, coin2.book, coin2.config, unit_plan(coin2.tree))
-        assert report.feasible(form=Form.FIXED_MEAN)
-        plan = 2.0 * unit_plan(coin2.tree)
-        report = evaluate_constraints(coin2.tree, coin2.book, coin2.config, plan)
-        assert report.feasible()
-        assert not report.feasible(form=Form.FIXED_MEAN)
 
     def test_roe_rate_charges_equity(self, coin2):
         import dataclasses

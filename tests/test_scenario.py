@@ -270,6 +270,7 @@ def _reference_utilities(utilities, tree):
     """The per-entry utility check that the column pass replaced, kept as a
     reference: every entry's first problem, and the (values, listed) blocks."""
     n, t_bar = tree.n_contracts, tree.last_issue
+    depth_of = {int(node): d for d, ids in enumerate(tree.node_ids) for node in ids}
     problems, blocks = [], {}
     for i, raw in enumerate(utilities):
         if not isinstance(raw, dict):
@@ -295,9 +296,8 @@ def _reference_utilities(utilities, tree):
                 f"utilities[{i}]: contract {c} outside 0..{n - 1} (zero-based)"
             )
             continue
-        try:
-            depth = tree.node_depth(node)
-        except InputError:
+        depth = depth_of.get(node)
+        if depth is None:
             problems.append(f"utilities[{i}]: unknown node {node}")
             continue
         if depth <= k:
@@ -311,7 +311,7 @@ def _reference_utilities(utilities, tree):
             shape = (tree.n_nodes(depth), n)
             block = blocks[(k, depth)] = (np.zeros(shape), np.zeros(shape, dtype=bool))
         values, listed = block
-        row = tree.node_row(depth, node)
+        row = int(np.searchsorted(tree.node_ids[depth], node))
         if listed[row, c]:
             problems.append(
                 f"utilities[{i}]: duplicate entry for issue_time {k}, "

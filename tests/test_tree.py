@@ -49,13 +49,6 @@ class TestStructure:
         tree = two_period_coin()
         np.testing.assert_allclose(tree.path_prob[1], [0.5, 0.5])
         np.testing.assert_allclose(tree.path_prob[2], [0.25] * 4)
-        assert tree.path_probability(2, 5) == pytest.approx(0.25)
-
-    def test_node_row_and_depth(self):
-        tree = two_period_coin()
-        assert tree.node_depth(4) == 2
-        assert tree.node_row(2, 3) == 0
-        assert tree.node_row(2, 6) == 3
 
     def test_parent_rows_link_depths(self):
         tree = two_period_coin()
@@ -156,16 +149,6 @@ class TestAdaptedCalculus:
         tree = two_period_coin()
         with pytest.raises(DimensionMismatch):
             tree.adapted(1, np.array([1.0, 2.0, 3.0]))
-
-    def test_adapted_from_dict_by_node_id(self):
-        tree = two_period_coin()
-        x = tree.adapted_from_dict(2, {3: 2.0, 4: 0.0, 5: 2.0, 6: 0.0})
-        np.testing.assert_allclose(x.values, [2.0, 0.0, 2.0, 0.0])
-
-    def test_adapted_from_dict_requires_full_domain(self):
-        tree = two_period_coin()
-        with pytest.raises(DimensionMismatch):
-            tree.adapted_from_dict(2, {3: 2.0, 5: 2.0})
 
 
 @settings(max_examples=25, deadline=None)

@@ -17,11 +17,16 @@ Agreement between the routes is therefore evidence about the structured
 factorization and the multiplier ladder, not about those shared parts.
 Each dense answer passes its own optimality check on the Gram matrix and
 rows before it is returned.
+
+The Gram matrix and the rows do not depend on the mean floor, so
+:func:`assemble` builds them once per contract book and reuses them while
+the book lives, which makes a sweep of floors pay for one build.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -77,6 +82,17 @@ class DenseProblem:
     config: ConstraintConfig = field(repr=False)
 
 
+#: what :func:`assemble` built from each live book: per kind, the tree and
+#: the Gram matrix; under "rows", the tree, the profitability rates and the
+#: constraint rows built from the latest rates
+_built: weakref.WeakKeyDictionary[ContractBook, dict] = weakref.WeakKeyDictionary()
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def assemble(
     tree: ScenarioTree,
     book: ContractBook,
@@ -88,10 +104,25 @@ def assemble(
     Row t < horizon is the period-t profitability functional, the last row
     the expected-final-utility functional; ``levels`` holds their
     right-hand sides with the mean floor last.
+
+    Neither the Gram matrix nor the rows depend on the mean floor, the
+    variance cap or the initial equity, so they are built once per book
+    and reused while the book lives: the Gram matrix per kind, and the rows
+    for the latest profitability rates only.  A build is reused only for
+    the same tree object; ``levels`` is computed on every call.  The book
+    and the tree are taken as unchanging, and the Gram matrix and rows
+    come back read-only.
     """
-    gram = dense_matrix(kind, tree, book)
-    rows, levels = constraint_rows(tree, book, config)
-    return DenseProblem(kind, gram, rows, levels, tree, book, config)
+    entry = _built.setdefault(book, {})
+    gram = entry.get(kind)
+    if gram is None or gram[0] is not tree:
+        gram = entry[kind] = (tree, _read_only(dense_matrix(kind, tree, book)))
+    rates = config.roe_rates
+    rows = entry.get("rows")
+    if rows is None or rows[0] is not tree or not np.array_equal(rows[1], rates):
+        built = _read_only(constraint_rows(tree, book, config)[0])
+        rows = entry["rows"] = (tree, rates.copy(), built)
+    return DenseProblem(kind, gram[-1], rows[-1], config.levels(tree), tree, book, config)
 
 
 def dense_solve_linear(
@@ -104,7 +135,8 @@ def dense_solve_linear(
     x = np.linalg.solve(a, b)
     denom = float(np.linalg.norm(b)) or 1.0
     resid = float(np.linalg.norm(a @ x - b)) / denom
-    if not resid <= max(DENSE_RESIDUAL_TOL, 1e-15 * np.linalg.cond(a)):
+    # the condition number (one SVD) is needed only past the fixed tolerance
+    if not (resid <= DENSE_RESIDUAL_TOL or resid <= 1e-15 * np.linalg.cond(a)):
         raise NumericalFailure(f"dense solve residual {resid:.3e}")
     return from_coords(problem.tree, x), resid
 

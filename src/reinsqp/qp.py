@@ -32,6 +32,7 @@ zeros off the basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,13 @@ def nonneg_qp(m: np.ndarray, x: np.ndarray, max_pivots: int | None = None) -> No
     m = np.asarray(m, dtype=float)
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    if m.shape != (n, n) or not np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max())):
+    if m.shape != (n, n):
+        raise NotSPD(f"matrix shape {m.shape} is not symmetric of order {n}")
+    m_max = float(np.abs(m).max())
+    if not math.isfinite(m_max):
+        raise NotSPD("matrix has a non-finite entry")
+    # np.allclose(m, m.T, atol=...) on a finite matrix, without its overhead
+    if not (np.abs(m - m.T) <= 1e-12 * (1 + m_max) + 1e-5 * np.abs(m.T)).all():
         raise NotSPD(f"matrix shape {m.shape} is not symmetric of order {n}")
     try:
         np.linalg.cholesky(m)
@@ -78,7 +85,6 @@ def nonneg_qp(m: np.ndarray, x: np.ndarray, max_pivots: int | None = None) -> No
     if max_pivots is None:
         max_pivots = 100 * n + 1000
 
-    m_max = float(np.abs(m).max())
     rows = x.reshape(-1, n)
     primal, dual = np.empty_like(rows), np.empty_like(rows)
     pivots = 0

@@ -1,6 +1,8 @@
 """The dense reference solver and its coordinate bridge."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,9 +24,10 @@ from reinsqp.oracle import (
 from reinsqp.multipliers import MultiplierSet, kkt_verify
 from reinsqp.portfolio import evaluate_constraints
 from reinsqp.qp import solve_qp
+from reinsqp.scenario import parse
 from reinsqp.tree import inner_product, norm
 
-from conftest import random_instance
+from conftest import coin2_data, random_instance
 from test_operators import random_plan
 
 from reinsqp.contracts import ContractBook
@@ -111,6 +114,14 @@ class TestDenseSolveLinear:
         image = (problem.gram + np.eye(3)) @ to_coords(coin2.tree, plan)
         np.testing.assert_allclose(image, to_coords(coin2.tree, rhs), atol=1e-10)
 
+    def test_passing_solve_computes_no_condition_number(self, coin2, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(1) or cond(m))
+        problem = assemble(coin2.tree, coin2.book, coin2.config, Kind.VARIANCE)
+        dense_solve_linear(problem, random_plan(coin2.tree, np.random.default_rng(24)))
+        assert calls == []
+
     def test_nan_right_hand_side_is_refused(self, coin2):
         # a NaN residual compares false against the tolerance
         rng = np.random.default_rng(23)
@@ -119,6 +130,92 @@ class TestDenseSolveLinear:
         rhs.stage(1).values[0, 0] = np.nan
         with pytest.raises(NumericalFailure, match="residual nan"):
             dense_solve_linear(problem, rhs)
+
+
+class TestReuse:
+    """``assemble`` builds the Gram matrix and the rows once per book."""
+
+    @staticmethod
+    def spy(monkeypatch) -> dict[str, int]:
+        calls = {"dense_matrix": 0, "constraint_rows": 0}
+        for name in calls:
+            fn = getattr(oracle, name)
+
+            def counted(*args, fn=fn, name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        return calls
+
+    def test_floor_sweep_builds_once(self, coin2, monkeypatch):
+        calls = self.spy(monkeypatch)
+        for floor in np.linspace(0.0, 6.0, 9):
+            cfg = dataclasses.replace(coin2.config, mean_floor=float(floor))
+            sol = dense_qp(coin2.tree, coin2.book, cfg, Form.MIN_VARIANCE)
+            assert sol.mean_value == pytest.approx(floor, abs=1e-9)
+        assert calls == {"dense_matrix": 1, "constraint_rows": 1}
+
+    def test_what_rebuilds(self, coin2, monkeypatch):
+        calls = self.spy(monkeypatch)
+        tree, book, config = coin2.tree, coin2.book, coin2.config
+
+        def built(tree, book, config, kind) -> tuple[int, int]:
+            before = dict(calls)
+            problem = assemble(tree, book, config, kind)
+            np.testing.assert_array_equal(problem.levels, config.levels(tree))
+            return (calls["dense_matrix"] - before["dense_matrix"],
+                    calls["constraint_rows"] - before["constraint_rows"])
+
+        assert built(tree, book, config, Kind.VARIANCE) == (1, 1)
+        assert built(tree, book, config, Kind.VARIANCE) == (0, 0)
+        # the floor and the equity only move the levels
+        moved = dataclasses.replace(
+            config, roe_rates=np.zeros(2), mean_floor=5.0, initial_equity=7.0
+        )
+        assert built(tree, book, moved, Kind.VARIANCE) == (0, 0)
+        rates = dataclasses.replace(moved, roe_rates=np.array([0.2, 0.05]))
+        assert built(tree, book, rates, Kind.VARIANCE) == (0, 1)
+        np.testing.assert_allclose(
+            assemble(tree, book, rates, Kind.VARIANCE).levels, [1.4, 0.35, 5.0]
+        )
+        assert built(tree, book, rates, Kind.SECOND_MOMENT) == (1, 0)
+        assert built(tree, book, config, Kind.SECOND_MOMENT) == (0, 1)
+        other = parse(coin2_data())
+        assert built(tree, other.book, config, Kind.VARIANCE) == (1, 1)
+        assert built(other.tree, book, config, Kind.VARIANCE) == (1, 1)
+
+    def test_cached_arrays_are_read_only(self, coin2):
+        problem = assemble(coin2.tree, coin2.book, coin2.config, Kind.VARIANCE)
+        with pytest.raises(ValueError, match="read-only"):
+            problem.gram[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            problem.rows[0, 0] = 0.0
+
+    def test_entry_dies_with_its_book(self):
+        scenario = parse(coin2_data())
+        problem = assemble(scenario.tree, scenario.book, scenario.config, Kind.VARIANCE)
+        book, gram = weakref.ref(scenario.book), weakref.ref(problem.gram)
+        assert book() in oracle._built
+        del scenario, problem
+        gc.collect()
+        assert book() is None
+        assert gram() is None
+
+    @pytest.mark.parametrize("form", [Form.MIN_VARIANCE, Form.FIXED_MEAN])
+    def test_answers_equal_a_fresh_book_bitwise(self, form):
+        rng = np.random.default_rng(31)
+        inst = random_instance(rng)
+        for floor in inst.config.mean_floor + np.linspace(0.0, 2.0, 5):
+            cfg = dataclasses.replace(inst.config, mean_floor=float(floor))
+            fresh = ContractBook(inst.tree, inst.book.stored_entries())
+            want = dense_qp(inst.tree, fresh, cfg, form)
+            for _ in range(2):
+                got = dense_qp(inst.tree, inst.book, cfg, form)
+                for field in ("coords", "roe_multipliers", "mean_multiplier",
+                              "variance_value", "n_pivots"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), field
+                assert np.array_equal(got.bound_multipliers.flat, want.bound_multipliers.flat)
 
 
 class TestMinVariance:

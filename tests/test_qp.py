@@ -113,6 +113,32 @@ class TestNonnegQP:
             assert np.array_equal(out.dual, np.array([a.dual for a in alone]))
             assert out.n_pivots == sum(a.n_pivots for a in alone)
 
+    @pytest.mark.parametrize(
+        "m",
+        [[[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]],
+        ids=["inf-diagonal", "nan-diagonal", "inf-pair"],
+    )
+    def test_rejects_non_finite(self, m):
+        # an infinite entry once made the symmetry tolerance infinite and
+        # came back as a NaN multiplier
+        with pytest.raises(NotSPD, match="non-finite"):
+            nonneg_qp(np.array(m), np.ones(2))
+
+    def test_symmetry_verdict_is_allclose(self):
+        # perturbations straddling np.allclose's own tolerance get its verdict
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            m = random_spd(rng, n) * 10.0 ** rng.integers(-8, 9)
+            i, j = rng.choice(n, 2, replace=False)
+            step = 1e-12 * (1 + np.abs(m).max()) + 1e-5 * abs(m[j, i])
+            m[i, j] += rng.choice([0.5, 0.999, 1.001, 2.0]) * step
+            if np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max())):
+                nonneg_qp(m, np.ones(n))
+            else:
+                with pytest.raises(NotSPD, match="not symmetric"):
+                    nonneg_qp(m, np.ones(n))
+
     def test_stacked_rows_still_check_the_matrix(self):
         x = np.ones((3, 2))
         with pytest.raises(NotSPD):
